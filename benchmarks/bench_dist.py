@@ -32,14 +32,14 @@ def test_trim_phase(benchmark, spark, edges):
 def test_scc_phase(benchmark, spark, edges):
     t = trim(edges).localCheckpoint(eager=True)
     out = benchmark.pedantic(
-        lambda: scc(spark, t, max_rounds=6).count(), rounds=2,
+        lambda: scc(spark, t).count(), rounds=2,
         iterations=1)
     assert out >= 0
 
 
 def test_distributed_cover_end_to_end(benchmark, spark, edges):
     res = benchmark.pedantic(
-        lambda: distributed_cover(spark, edges, 5, "tdb++", scc_rounds=6),
+        lambda: distributed_cover(spark, edges, 5, "tdb++"),
         rounds=2, iterations=1)
     assert res.finished
     benchmark.extra_info["cover_size"] = res.size

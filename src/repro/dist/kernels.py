@@ -1,11 +1,12 @@
 """Per-component cover kernels executed inside Spark tasks.
 
 ``applyInPandas`` ships each strongly-connected component's edge frame to
-an executor; the kernel rebuilds a CSR graph, restricts it to vertices in
-non-trivial SCCs (sound: the others are on no cycle — and uniform across
-algorithms, so comparisons stay fair), runs the requested algorithm, and
-returns cover rows plus one per-component stats row (``vertex`` NULL)
-carrying kernel seconds / op count / finished flag.
+an executor; the kernel rebuilds a CSR graph and, for the TDB family only,
+restricts it to the constrained-cycle region (sound: the rest is on no
+cycle; the baselines run the graph as given, per DESIGN's Table III
+protocol). It then runs the requested algorithm and returns cover rows
+plus one per-component stats row (``vertex`` NULL) carrying kernel
+seconds / op count / finished flag.
 """
 from __future__ import annotations
 
@@ -53,10 +54,11 @@ def restrict_to_cycle_region(g: CSRGraph, allow_two_cycles: bool,
                              k: int | None = None) -> CSRGraph:
     """Label-preserving sub-CSR that keeps the constrained-cycle region.
 
-    Two sound, cycle-preserving reductions, applied to *every* algorithm
-    uniformly so comparisons stay fair: (1) drop vertices outside
+    Two sound, cycle-preserving reductions: (1) drop vertices outside
     non-trivial SCCs; (2) with a hop bound, drop edges on no closed walk
     of length <= k (the bulk form of the paper's BFS filter).
+    :func:`solve_component` applies them to the TDB family only, inside
+    its measured time.
     """
     mask = nontrivial_scc_mask(g, allow_two_cycles=allow_two_cycles)
     if not mask.all():

@@ -1,11 +1,13 @@
 """The distributed cover pipeline (DESIGN.md §3).
 
-``prepare_graph``   normalize → trim → bulk k-circuit prefilter → trim →
-                    SCC → keep intra-component edges. All iterative
-                    DataFrame dataflow; the output ``(comp, src, dst)``
-                    frame is checkpointed so the expensive shared phases
-                    run once per (dataset, k) and every algorithm is then
-                    measured on identical partitioned input.
+``prepare_graph``   normalize → trim → SCC → keep intra-component
+                    edges → bulk k-circuit prefilter → trim. Iterative
+                    DataFrame dataflow plus one grouped Tarjan pass per
+                    weak component (:mod:`repro.graph.scc`); the output
+                    ``(comp, src, dst)`` frame is checkpointed so the
+                    expensive shared phases run once per (dataset, k)
+                    and every algorithm is then measured on identical
+                    partitioned input.
 
 ``run_cover``       groups the prepared frame by component and runs the
                     chosen sequential kernel per component in parallel
@@ -52,8 +54,7 @@ def single_group(edges: DataFrame) -> DataFrame:
 
 
 def prepare_graph(spark: SparkSession, edges: DataFrame, k: int, *,
-                  use_prefilter: bool = True, scc_rounds: int = 8
-                  ) -> tuple[DataFrame, dict]:
+                  use_prefilter: bool = True) -> tuple[DataFrame, dict]:
     """Shared distributed phases; returns ``(comp_edges, info)``.
 
     ``comp_edges`` has columns ``comp, src, dst`` — only intra-component
@@ -69,7 +70,7 @@ def prepare_graph(spark: SparkSession, edges: DataFrame, k: int, *,
     # singleton-component edges first keeps the prefilter's (root, v)
     # frontier off the acyclic bulk, where it would explode on dense
     # hierarchical graphs.
-    comp = scc(spark, e, max_rounds=scc_rounds)
+    comp = scc(spark, e)
     comp_edges = (e
                   .join(comp.select(F.col("v").alias("src"),
                                     F.col("comp").alias("c_src")), "src")
@@ -124,12 +125,11 @@ def run_cover(comp_edges: DataFrame, algorithm: str, k: int, *,
 def distributed_cover(spark: SparkSession, edges: DataFrame, k: int,
                       algorithm: str = "tdb++", *,
                       allow_two_cycles: bool = False, order: str = "degree",
-                      use_prefilter: bool = True, scc_rounds: int = 8,
+                      use_prefilter: bool = True,
                       op_budget: int | None = None) -> CoverResult:
     """One-shot: prepare the graph and run one algorithm."""
     comp_edges, info = prepare_graph(spark, edges, k,
-                                     use_prefilter=use_prefilter,
-                                     scc_rounds=scc_rounds)
+                                     use_prefilter=use_prefilter)
     res = run_cover(comp_edges, algorithm, k,
                     allow_two_cycles=allow_two_cycles, order=order,
                     op_budget=op_budget)

@@ -2,8 +2,9 @@
 
 Used (a) as the in-kernel decomposition before cover search — constrained
 cycles never cross SCC boundaries, so each component is an independent
-subproblem — and (b) as the reference oracle for the distributed
-DataFrame SCC in :mod:`repro.graph.scc` tests.
+subproblem — (b) per weak component inside the distributed SCC of
+:mod:`repro.graph.scc`, and (c) on the whole graph as the reference for
+that SCC's tests.
 """
 from __future__ import annotations
 

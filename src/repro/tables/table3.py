@@ -41,8 +41,8 @@ ALGOS = ["darc-dv", "bur+", "tdb++"]
 def run_table3(spark: SparkSession, *, k: int = 5,
                datasets: list[str] | None = None,
                algorithms: list[str] | None = None,
-               budgets: dict | None = None, verify: bool = True,
-               scc_rounds: int = 6) -> pd.DataFrame:
+               budgets: dict | None = None, verify: bool = True
+               ) -> pd.DataFrame:
     """One row per dataset with per-algorithm size/seconds (NaN = DNF)."""
     budgets = {**DEFAULT_BUDGETS, **(budgets or {})}
     algorithms = algorithms or ALGOS
@@ -55,8 +55,7 @@ def run_table3(spark: SparkSession, *, k: int = 5,
         for algo in algorithms:
             use_pipeline = spec.tier == "large" and algo.startswith("tdb")
             if use_pipeline:
-                comp_edges, info = prepare_graph(spark, edges, k,
-                                                 scc_rounds=scc_rounds)
+                comp_edges, info = prepare_graph(spark, edges, k)
                 res = run_cover(comp_edges, algo, k,
                                 op_budget=budgets.get(algo))
                 seconds = info["prep_seconds"] + res.seconds

@@ -57,6 +57,16 @@ def test_multi_component_graphs_solved_per_component(spark):
     assert len(cov & {10, 11, 12}) == 1
     assert len(cov) == 2
     assert res.extra["n_components"] == 2
+    # two triangles joined by a one-way bridge: one weak component, two
+    # SCCs; the bridge lies on no cycle and is cut
+    pdf = pd.DataFrame([(0, 1), (1, 2), (2, 0),
+                        (10, 11), (11, 12), (12, 10),
+                        (2, 10)], columns=["src", "dst"])
+    comp_edges, info = prepare_graph(spark, edges_df(spark, pdf), 3)
+    assert info["n_components"] == 2
+    kept = {(r.src, r.dst) for r in comp_edges.collect()}
+    assert (2, 10) not in kept
+    assert len(kept) == 6
 
 
 def test_single_group_wraps_raw(spark):
