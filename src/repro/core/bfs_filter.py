@@ -43,7 +43,6 @@ def bfs_filter(g, v: int, k: int, active: np.ndarray, ws: Workspace,
         nbrs = g.out_neighbors(u)
         budget.spend(len(nbrs))
         for w in nbrs:
-            w = int(w)
             if w == v:
                 # closed walk of length d+1 (d+1 >= 2 here: self-loops
                 # are dropped by CSR, so d >= 1 when w == v... except

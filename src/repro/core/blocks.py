@@ -1,11 +1,21 @@
-"""Block-based node-necessary validation — the paper's Algorithms 9 & 10.
+"""The hop-bounded cycle search: FindCycle (Algorithm 5) and block-based
+node-necessary validation (Algorithms 9 & 10) as one kernel.
 
-This is the BC-DFS barrier technique (Peng et al., VLDB'19) specialized to
-cycle *existence*: a hop-bounded DFS from ``s`` back to ``s`` that records,
-on failure at vertex ``u`` explored at depth ``d``, the certificate
-``block[u] = k - d + 1`` (a valid lower bound on ``sd(u, s | S)``), which
-prunes every later visit of ``u`` at depth ``>= d``. Theorem 6: each vertex
-is pushed at most ``k`` times, so one validation costs ``O(k·m)``.
+Both are a DFS from ``s`` back to ``s`` over the active vertices; they
+differ only in the BC-DFS barriers (Peng et al., VLDB'19). With
+``blocked=True`` a failure at vertex ``u`` explored at depth ``d``
+records the certificate ``block[u] = k - d + 1`` (a valid lower bound on
+``sd(u, s | S)``), which prunes every later visit of ``u`` at depth
+``>= d``. Theorem 6: each vertex is pushed at most ``k`` times, so one
+validation costs ``O(k·m)``. ``blocked=False`` is the plain search of
+Algorithm 5 that makes BUR/BUR+ (and plain TDB) slow, worst case
+``O(n^k)`` as analyzed in §V. Blocks only cut subtrees that hold no
+cycle, so both modes return the same first cycle in DFS order.
+
+The DFS runs on an explicit stack: one frame per path vertex holding its
+neighbor iterator, so the path may be as long as ``n`` (the ``k=None``
+variant) without touching the interpreter's recursion limit. Each pushed
+frame spends its out-degree against the budget once, when it is pushed.
 
 Because the search early-terminates on the first cycle, the UNBLOCK cascade
 of Algorithm 10 is only ever invoked on the success path where the caller
@@ -35,7 +45,7 @@ disappear (Johnson-style blocking, existence-only).
 """
 from __future__ import annotations
 
-import sys
+from functools import partial
 
 import numpy as np
 
@@ -46,89 +56,89 @@ _INF = np.iinfo(np.int64).max // 4
 
 def node_necessary(g, s: int, k: int | None, active: np.ndarray,
                    ws: Workspace, budget: OpBudget, *,
-                   allow_two_cycles: bool = False) -> list[int] | None:
+                   allow_two_cycles: bool = False,
+                   blocked: bool = True) -> list[int] | None:
     """Return a constrained simple cycle through ``s`` or ``None``.
 
-    ``active`` masks the usable vertices; ``s`` is always usable. ``k=None``
-    runs the unconstrained variant (any length >= min_len).
+    ``active`` masks the usable vertices (the reduced graph); ``s`` is
+    always usable, which is how both Algorithm 4 (start alive) and
+    Algorithm 7 (start re-activated) call it. ``k=None`` runs the
+    unconstrained variant (any length >= min_len). ``blocked=False`` turns
+    the barriers off (Algorithm 5). The cycle is returned as its vertex
+    list from ``s``, without the repeated endpoint.
     """
     min_len = 2 if allow_two_cycles else 3
     unconstrained = k is None
     if not unconstrained and k < min_len:
         return None
-    kk = k if not unconstrained else 0  # only read when constrained
+    kk = _INF if unconstrained else k  # no hop guard fires at _INF
     epoch = ws.new_epoch()
     block = ws.block
     stamp = ws.block_stamp
     in_stack = ws.in_stack
+    block_log: list[int] = []  # vertices whose block was set, in set order
     path = [s]
     in_stack[s] = True
-    found: list[int] | None = None
-    block_log: list[int] = []  # vertices whose block was set, in set order
-
-    if unconstrained:
-        # recursion depth can reach n; kernels only use this path on
-        # moderate graphs (tests / small components)
-        need = g.n + 100
-        if sys.getrecursionlimit() < need:
-            sys.setrecursionlimit(need)
-
-    def dfs(u: int, depth: int) -> bool:
-        nonlocal found
-        skipped_short_closure = False
-        log_mark = len(block_log)
-        nbrs = g.out_neighbors(u)
-        budget.spend(len(nbrs))
-        for w in nbrs:
-            w = int(w)
-            if w == s:
-                length = depth + 1
-                if (not unconstrained) and length > kk:
-                    continue
-                if length >= min_len:
-                    found = list(path)
-                    return True
-                skipped_short_closure = True
-                continue
-            if not active[w] or in_stack[w]:
-                continue
-            if not unconstrained and depth + 1 > kk - 1:
-                continue
-            b = block[w] if stamp[w] == epoch else 0
-            if unconstrained:
-                if b >= _INF:
-                    continue
-            elif depth + 1 + b > kk:
-                continue
-            in_stack[w] = True
-            path.append(w)
-            if dfs(w, depth + 1):
-                return True
-            path.pop()
-            in_stack[w] = False
-        # Failure certificate for u at this depth.
-        if skipped_short_closure:
-            # u -> s exists but the 2-cycle closure was disallowed: u was
-            # genuinely able to reach s, so every certificate recorded
-            # while u sat on the stack may be stale — roll them back.
-            for x in block_log[log_mark:]:
-                stamp[x] = 0
-            del block_log[log_mark:]
-            b_new = 1  # sd(u, s | S) == 1: never prune on it
-        elif unconstrained:
-            b_new = _INF
-        else:
-            b_new = kk - depth + 1
-        prev = block[u] if stamp[u] == epoch else 0
-        if b_new > prev:
-            block[u] = b_new
-            stamp[u] = epoch
-            block_log.append(u)
-        return False
-
     try:
-        dfs(s, 0)
+        nbrs = g.out_neighbors(s)
+        budget.spend(len(nbrs))
+        # frame per path vertex: [neighbor iterator, len(block_log) when
+        # pushed, whether a too-short closure to s was skipped]
+        frames = [[iter(nbrs), 0, False]]
+        while frames:
+            frame = frames[-1]
+            depth = len(frames) - 1
+            for w in frame[0]:
+                if w == s:
+                    if depth + 1 > kk:
+                        continue
+                    if depth + 1 >= min_len:
+                        return list(path)
+                    frame[2] = True
+                    continue
+                if not active[w] or in_stack[w] or depth + 1 > kk - 1:
+                    continue
+                if blocked and stamp[w] == epoch \
+                        and depth + 1 + block[w] > kk:
+                    continue
+                in_stack[w] = True
+                path.append(w)
+                nbrs = g.out_neighbors(w)
+                budget.spend(len(nbrs))
+                frames.append([iter(nbrs), len(block_log), False])
+                break
+            else:
+                # every neighbor tried: the path's last vertex fails here
+                frames.pop()
+                u = path.pop()
+                in_stack[u] = False
+                if not blocked:
+                    continue
+                _, log_mark, skipped_short_closure = frame
+                if skipped_short_closure:
+                    # u -> s exists but the 2-cycle closure was disallowed:
+                    # u was genuinely able to reach s, so every certificate
+                    # recorded while u sat on the stack may be stale.
+                    for x in block_log[log_mark:]:
+                        stamp[x] = 0
+                    del block_log[log_mark:]
+                    b_new = 1  # sd(u, s | S) == 1: never prune on it
+                elif unconstrained:
+                    b_new = _INF
+                else:
+                    b_new = kk - depth + 1
+                prev = block[u] if stamp[u] == epoch else 0
+                if b_new > prev:
+                    block[u] = b_new
+                    stamp[u] = epoch
+                    block_log.append(u)
+        return None
     finally:
+        # restore the workspace whether we found a cycle, failed, or the
+        # budget blew mid-search
         for v in path:
             in_stack[v] = False
-    return found
+
+
+# FindCycle (Algorithm 5): the same search without blocks
+find_cycle = partial(node_necessary, blocked=False)

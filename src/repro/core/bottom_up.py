@@ -14,7 +14,7 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from .engine import OpBudget, OpBudgetExceeded, Workspace
-from .find_cycle import find_cycle
+from .blocks import find_cycle
 from .result import CoverResult
 
 

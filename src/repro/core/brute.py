@@ -31,7 +31,6 @@ def all_simple_cycles(g: CSRGraph, lo: int, hi: int) -> set[tuple[int, ...]]:
 
         def dfs(u: int, depth: int) -> None:
             for w in g.out_neighbors(u):
-                w = int(w)
                 if w == root:
                     if lo <= depth + 1 <= hi:
                         out.add(tuple(path))
@@ -80,7 +79,6 @@ def vertex_on_cycle(g: CSRGraph, v: int, lo: int, hi: int,
 
     def dfs(u: int, depth: int) -> bool:
         for w in g.out_neighbors(u):
-            w = int(w)
             if w == v:
                 if lo <= depth + 1 <= hi:
                     return True

@@ -55,9 +55,8 @@ class Workspace:
     invalidates all blocks in O(1).
 
     ``in_stack``: DFS path membership. It is *not* stamped: the DFS
-    discipline (push/pop symmetric, cleared on both success and failure
-    paths) keeps it all-False between searches; kernels assert that in
-    debug builds.
+    discipline (push/pop symmetric, cleared on success, failure and budget
+    exhaustion) keeps it all-False between searches; the tests check that.
 
     ``dist`` / ``dist_stamp`` and ``queue``: BFS scratch for the filter.
     """

@@ -39,7 +39,6 @@ from ..graph.csr import CSRGraph
 from .engine import OpBudget, OpBudgetExceeded, Workspace
 from .bfs_filter import bfs_filter
 from .blocks import node_necessary
-from .find_cycle import find_cycle
 from .result import CoverResult
 
 TECHNIQUES = ("tdb", "tdb+", "tdb++")
@@ -58,13 +57,10 @@ def vertex_order(g: CSRGraph, order: str) -> np.ndarray:
 
 def top_down(g: CSRGraph, k: int | None, *, technique: str = "tdb++",
              order: str = "degree", allow_two_cycles: bool = False,
-             budget: OpBudget | None = None, ws: Workspace | None = None,
-             candidate_mask: np.ndarray | None = None) -> CoverResult:
+             budget: OpBudget | None = None,
+             ws: Workspace | None = None) -> CoverResult:
     """Run the top-down algorithm; returns cover in original labels.
 
-    ``candidate_mask`` (from the distributed prefilter) marks vertices that
-    may lie on a constrained cycle; unmarked vertices skip validation and
-    are accepted directly (sound: they can be on no cycle in any subgraph).
     ``k=None`` runs the unconstrained variant (tdb+/tdb++ only use the
     block technique then; the BFS filter needs a hop bound and is skipped).
     """
@@ -85,18 +81,12 @@ def top_down(g: CSRGraph, k: int | None, *, technique: str = "tdb++",
     try:
         for v in vertex_order(g, order):
             v = int(v)
-            if candidate_mask is not None and not candidate_mask[v]:
-                accepted[v] = True
-                continue
             if use_filter and not bfs_filter(g, v, k, accepted, ws, budget):
                 accepted[v] = True  # no closed walk <= k: provably safe
                 continue
-            if use_blocks:
-                cyc = node_necessary(g, v, k, accepted, ws, budget,
-                                     allow_two_cycles=allow_two_cycles)
-            else:
-                cyc = find_cycle(g, v, k, accepted, ws, budget,
-                                 allow_two_cycles=allow_two_cycles)
+            cyc = node_necessary(g, v, k, accepted, ws, budget,
+                                 allow_two_cycles=allow_two_cycles,
+                                 blocked=use_blocks)
             if cyc is None:
                 accepted[v] = True
             else:

@@ -7,6 +7,7 @@ original labels so covers can be re-joined to the Spark world.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,19 +16,21 @@ import pandas as pd
 
 @dataclass
 class CSRGraph:
-    """Directed graph in CSR form, both orientations.
+    """Directed graph in CSR form, out-direction only.
 
     ``indptr_out[v]:indptr_out[v+1]`` slices ``indices_out`` to the
-    out-neighbors of ``v`` (sorted); likewise for the in-direction.
+    out-neighbors of ``v`` (sorted). ``out_lists[v]`` holds the same
+    neighbors as a Python list of ints: the DFS/BFS kernels iterate those,
+    which is much cheaper per element than a numpy slice. The array
+    kernels (bulk BFS, DARC) use the arrays.
     """
 
     n: int
     m: int
     indptr_out: np.ndarray
     indices_out: np.ndarray
-    indptr_in: np.ndarray
-    indices_in: np.ndarray
     vertex_ids: np.ndarray  # local index -> original label
+    out_lists: list[list[int]]
 
     @classmethod
     def from_edges(cls, edges) -> "CSRGraph":
@@ -40,10 +43,6 @@ class CSRGraph:
             arr = edges[["src", "dst"]].to_numpy(dtype=np.int64, copy=True)
         else:
             arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if arr.size == 0:
-            return cls(0, 0, *(np.zeros(1, np.int64),) * 1,
-                       np.zeros(0, np.int64), np.zeros(1, np.int64),
-                       np.zeros(0, np.int64), np.zeros(0, np.int64))
         arr = arr[arr[:, 0] != arr[:, 1]]
         labels = np.unique(arr)
         n = len(labels)
@@ -53,40 +52,31 @@ class CSRGraph:
         key = src.astype(np.int64) * n + dst
         _, keep = np.unique(key, return_index=True)
         src, dst = src[keep], dst[keep]
-        m = len(src)
-
-        def _csr(a: np.ndarray, b: np.ndarray):
-            order = np.lexsort((b, a))
-            a_s, b_s = a[order], b[order]
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.add.at(indptr, a_s + 1, 1)
-            np.cumsum(indptr, out=indptr)
-            return indptr, b_s.astype(np.int64)
-
-        indptr_out, indices_out = _csr(src, dst)
-        indptr_in, indices_in = _csr(dst, src)
-        return cls(n, m, indptr_out, indices_out, indptr_in, indices_in,
-                   labels)
+        order = np.lexsort((dst, src))
+        indices_out = dst[order].astype(np.int64)
+        indptr_out = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr_out[1:])
+        flat, ptr = indices_out.tolist(), indptr_out.tolist()
+        out_lists = [flat[ptr[v]:ptr[v + 1]] for v in range(n)]
+        return cls(n, len(indices_out), indptr_out, indices_out,
+                   labels, out_lists)
 
     # -- accessors ---------------------------------------------------------
-    def out_neighbors(self, v: int) -> np.ndarray:
-        return self.indices_out[self.indptr_out[v]:self.indptr_out[v + 1]]
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        return self.indices_in[self.indptr_in[v]:self.indptr_in[v + 1]]
+    def out_neighbors(self, v: int) -> list[int]:
+        return self.out_lists[v]
 
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.indptr_out)
 
     def in_degrees(self) -> np.ndarray:
-        return np.diff(self.indptr_in)
+        return np.bincount(self.indices_out, minlength=self.n)
 
     def total_degrees(self) -> np.ndarray:
         return self.out_degrees() + self.in_degrees()
 
     def has_edge(self, u: int, v: int) -> bool:
-        nb = self.out_neighbors(u)
-        i = np.searchsorted(nb, v)
+        nb = self.out_lists[u]
+        i = bisect_left(nb, v)
         return i < len(nb) and nb[i] == v
 
     def edge_array(self) -> np.ndarray:

@@ -48,7 +48,7 @@ def tarjan_scc(g: CSRGraph, mask: np.ndarray | None = None) -> np.ndarray:
             nbrs = g.out_neighbors(v)
             advanced = False
             while i < len(nbrs):
-                w = int(nbrs[i])
+                w = nbrs[i]
                 i += 1
                 if not active[w]:
                     continue

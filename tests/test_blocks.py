@@ -1,14 +1,15 @@
 """Block-based node-necessary (Algorithms 9/10) — soundness is the whole
 game here, so this file leans hard on randomized and property tests."""
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.blocks import node_necessary
+from repro.core.blocks import find_cycle, node_necessary
 from repro.core.brute import vertex_on_cycle
 from repro.core.engine import OpBudget, Workspace
-from repro.core.find_cycle import find_cycle
 from repro.graph.csr import CSRGraph
 from repro.graphgen.models import powerlaw_digraph, uniform_digraph
 
@@ -55,9 +56,12 @@ def test_matches_plain_dfs_under_mask(seed, k):
     act = rng.random(g.n) < 0.7
     ws = Workspace(g.n)
     for v in range(g.n):
-        blocked = node_necessary(g, v, k, act, ws, OpBudget())
-        plain = find_cycle(g, v, k, act, ws, OpBudget())
-        assert (blocked is None) == (plain is None)
+        b_ops, p_ops = OpBudget(), OpBudget()
+        blocked = node_necessary(g, v, k, act, ws, b_ops)
+        plain = find_cycle(g, v, k, act, ws, p_ops)
+        # blocks only cut cycle-free subtrees: same first cycle, less work
+        assert blocked == plain
+        assert b_ops.spent <= p_ops.spent
 
 
 def test_regression_stale_block_after_skipped_two_cycle():
@@ -107,6 +111,20 @@ def test_unconstrained_matches_brute(seed, allow2):
         assert (cyc is not None) == vertex_on_cycle(g, v, lo, g.n)
         if cyc is not None:
             check_cycle_valid(g, cyc, v, None, lo)
+
+
+def test_unconstrained_long_ring_no_recursion_limit():
+    # a 3,000-vertex ring with one chord: the only cycles through 0 are
+    # thousands of hops long, deeper than the default recursion limit
+    n = 3000
+    ring = [[i, (i + 1) % n] for i in range(n)]
+    g = CSRGraph.from_edges(np.array(ring + [[10, 1500]]))
+    limit = sys.getrecursionlimit()
+    cyc = node_necessary(g, 0, None, np.ones(g.n, bool), Workspace(g.n),
+                         OpBudget())
+    assert cyc is not None
+    check_cycle_valid(g, cyc, 0, None, 3)
+    assert sys.getrecursionlimit() == limit
 
 
 @settings(max_examples=120, deadline=None)

@@ -24,9 +24,13 @@ def test_out_neighbors_sorted(tri):
     assert list(tri.out_neighbors(three)) == sorted(tri.out_neighbors(three))
 
 
-def test_in_neighbors(tri):
-    one = int(np.searchsorted(tri.vertex_ids, 1))
-    assert tri.to_labels(tri.in_neighbors(one)).tolist() == [3]
+def test_in_degrees_and_out_lists(tri):
+    heads = tri.edge_array()[:, 1]
+    assert tri.in_degrees().tolist() == np.bincount(heads, minlength=tri.n
+                                                    ).tolist()
+    for v in range(tri.n):
+        lo, hi = tri.indptr_out[v], tri.indptr_out[v + 1]
+        assert tri.out_neighbors(v) == tri.indices_out[lo:hi].tolist()
 
 
 def test_degrees(tri):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.brute import vertex_on_cycle
 from repro.core.engine import OpBudget, OpBudgetExceeded, Workspace
-from repro.core.find_cycle import find_cycle
+from repro.core.blocks import find_cycle
 from repro.graph.csr import CSRGraph
 from repro.graphgen.models import powerlaw_digraph, uniform_digraph
 

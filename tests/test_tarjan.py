@@ -32,6 +32,9 @@ def kosaraju(g: CSRGraph, mask=None):
                     break
             if not pushed:
                 order.append(v)
+    rev = [[] for _ in range(n)]
+    for u, w in g.edge_array().tolist():
+        rev[w].append(u)
     comp = np.full(n, -1)
     c = 0
     for v in reversed(order):
@@ -41,8 +44,7 @@ def kosaraju(g: CSRGraph, mask=None):
         comp[v] = c
         while stack:
             u = stack.pop()
-            for w in g.in_neighbors(u):
-                w = int(w)
+            for w in rev[u]:
                 if active[w] and comp[w] == -1:
                     comp[w] = c
                     stack.append(w)

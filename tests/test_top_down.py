@@ -6,7 +6,6 @@ from repro.core.engine import OpBudget
 from repro.core.top_down import top_down, vertex_order
 from repro.core.verify import check_feasible, check_minimal
 from repro.graph.csr import CSRGraph
-from repro.graph.tarjan import nontrivial_scc_mask
 from repro.graphgen.models import powerlaw_digraph, uniform_digraph
 
 
@@ -60,15 +59,6 @@ def test_vertex_order_variants():
     assert (np.diff(degs[asc]) >= 0).all()
     with pytest.raises(ValueError):
         vertex_order(g, "nope")
-
-
-def test_candidate_mask_soundness():
-    g = CSRGraph.from_edges(powerlaw_digraph(18, 72, reciprocity=0.3,
-                                             seed=4))
-    mask = nontrivial_scc_mask(g)
-    with_mask = top_down(g, 5, candidate_mask=mask).cover_set()
-    without = top_down(g, 5).cover_set()
-    assert with_mask == without
 
 
 def test_unconstrained_requires_blocks():
