@@ -50,27 +50,48 @@ def run_algorithm(g: CSRGraph, algorithm: str, k: int, *,
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
+def drop_outside_nontrivial_sccs(g: CSRGraph,
+                                 allow_two_cycles: bool) -> CSRGraph:
+    """Sub-CSR on the vertices of non-trivial SCCs (``g`` itself if that
+    is every vertex)."""
+    mask = nontrivial_scc_mask(g, allow_two_cycles=allow_two_cycles)
+    if mask.all():
+        return g
+    edges = g.edge_array()
+    sub = edges[mask[edges[:, 0]] & mask[edges[:, 1]]]
+    return CSRGraph.from_edges(
+        np.column_stack([g.vertex_ids[sub[:, 0]], g.vertex_ids[sub[:, 1]]]))
+
+
 def restrict_to_cycle_region(g: CSRGraph, allow_two_cycles: bool,
                              k: int | None = None) -> CSRGraph:
     """Label-preserving sub-CSR that keeps the constrained-cycle region.
 
     Two sound, cycle-preserving reductions: (1) drop vertices outside
     non-trivial SCCs; (2) with a hop bound, drop edges on no closed walk
-    of length <= k (the bulk form of the paper's BFS filter).
-    :func:`solve_component` applies them to the TDB family only, inside
-    its measured time.
+    of length <= k (the bulk form of the paper's BFS filter). (2) can
+    split an SCC and leave a piece that (1) then drops (e.g. a mutual
+    pair hanging off a triangle when 2-cycles are disallowed), so they
+    alternate until one removes nothing. Each is idempotent, so that is
+    a fixpoint of both.
+
+    Both are monotone and only delete, so the result is the greatest
+    sub-graph that both leave unchanged. Any reduction that keeps that
+    sub-graph (trim, the SCC split, a k-hop prefilter) can run first
+    without changing the result, and with it the kernel's cover and op
+    count. :func:`solve_component` applies this to the TDB family only,
+    inside its measured time.
     """
-    mask = nontrivial_scc_mask(g, allow_two_cycles=allow_two_cycles)
-    if not mask.all():
-        edges = g.edge_array()
-        keep = mask[edges[:, 0]] & mask[edges[:, 1]]
-        sub = edges[keep]
-        g = CSRGraph.from_edges(
-            np.column_stack([g.vertex_ids[sub[:, 0]],
-                             g.vertex_ids[sub[:, 1]]]))
-    if k is not None:
-        g = restrict_to_short_walk_edges(g, k)
-    return g
+    g = drop_outside_nontrivial_sccs(g, allow_two_cycles)
+    if k is None:
+        return g
+    while True:
+        walked = restrict_to_short_walk_edges(g, k)
+        if walked is g:
+            return g
+        g = drop_outside_nontrivial_sccs(walked, allow_two_cycles)
+        if g is walked:
+            return g
 
 
 def solve_component(pdf: pd.DataFrame, *, algorithm: str, k: int,

@@ -1,13 +1,17 @@
 """The distributed cover pipeline (DESIGN.md §3).
 
 ``prepare_graph``   normalize → trim → SCC → keep intra-component
-                    edges → bulk k-circuit prefilter → trim. Iterative
-                    DataFrame dataflow plus one grouped Tarjan pass per
-                    weak component (:mod:`repro.graph.scc`); the output
-                    ``(comp, src, dst)`` frame is checkpointed so the
-                    expensive shared phases run once per (dataset, k)
-                    and every algorithm is then measured on identical
-                    partitioned input.
+                    edges. Iterative DataFrame dataflow plus one grouped
+                    Tarjan pass per weak component
+                    (:mod:`repro.graph.scc`). No k-aware reduction runs
+                    here: each TDB kernel restricts its component to the
+                    edges on closed walks of length <= k itself
+                    (:func:`~repro.dist.kernels.restrict_to_cycle_region`,
+                    a fixpoint, so the cover and ops are the same as on
+                    the raw graph). The output ``(comp, src, dst)`` frame
+                    is checkpointed so the expensive shared phases run
+                    once per dataset and every algorithm is then measured
+                    on identical partitioned input.
 
 ``run_cover``       groups the prepared frame by component and runs the
                     chosen sequential kernel per component in parallel
@@ -33,7 +37,9 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from ..core.result import CoverResult
-from ..graph.khop import prefilter_edges
+# Not called here; still importable so tracers that wrap
+# ``pipeline.prefilter_edges`` by name keep working.
+from ..graph.khop import prefilter_edges  # noqa: F401
 from ..graph.schema import normalize_edges
 from ..graph.scc import scc
 from ..graph.trim import trim
@@ -53,12 +59,13 @@ def single_group(edges: DataFrame) -> DataFrame:
     return edges.select(F.lit(0).cast("bigint").alias("comp"), "src", "dst")
 
 
-def prepare_graph(spark: SparkSession, edges: DataFrame, k: int, *,
-                  use_prefilter: bool = True) -> tuple[DataFrame, dict]:
+def prepare_graph(spark: SparkSession, edges: DataFrame, k: int
+                  ) -> tuple[DataFrame, dict]:
     """Shared distributed phases; returns ``(comp_edges, info)``.
 
     ``comp_edges`` has columns ``comp, src, dst`` — only intra-component
-    edges survive (cross-SCC edges are on no cycle).
+    edges survive (cross-SCC edges are on no cycle). No phase here uses
+    ``k``: the k-aware reduction runs inside the TDB kernels.
     """
     info: dict = {}
     t0 = time.perf_counter()
@@ -66,10 +73,6 @@ def prepare_graph(spark: SparkSession, edges: DataFrame, k: int, *,
     info["m_input"] = e.count()
     e = trim(e)
     info["m_trimmed"] = e.count()
-    # SCC *before* the k-circuit prefilter: dropping cross-component and
-    # singleton-component edges first keeps the prefilter's (root, v)
-    # frontier off the acyclic bulk, where it would explode on dense
-    # hierarchical graphs.
     comp = scc(spark, e)
     comp_edges = (e
                   .join(comp.select(F.col("v").alias("src"),
@@ -80,12 +83,6 @@ def prepare_graph(spark: SparkSession, edges: DataFrame, k: int, *,
                   .select(F.col("c_src").alias("comp"), "src", "dst")
                   .localCheckpoint(eager=True))
     info["m_partitioned"] = comp_edges.count()
-    if use_prefilter and info["m_partitioned"] > 0:
-        kept = trim(prefilter_edges(comp_edges.select("src", "dst"), k)) \
-            .localCheckpoint(eager=True)
-        comp_edges = (comp_edges.join(kept, ["src", "dst"], "leftsemi")
-                      .localCheckpoint(eager=True))
-        info["m_prefiltered"] = comp_edges.count()
     info["n_components"] = comp_edges.select("comp").distinct().count()
     info["prep_seconds"] = time.perf_counter() - t0
     return comp_edges, info
@@ -125,11 +122,9 @@ def run_cover(comp_edges: DataFrame, algorithm: str, k: int, *,
 def distributed_cover(spark: SparkSession, edges: DataFrame, k: int,
                       algorithm: str = "tdb++", *,
                       allow_two_cycles: bool = False, order: str = "degree",
-                      use_prefilter: bool = True,
                       op_budget: int | None = None) -> CoverResult:
     """One-shot: prepare the graph and run one algorithm."""
-    comp_edges, info = prepare_graph(spark, edges, k,
-                                     use_prefilter=use_prefilter)
+    comp_edges, info = prepare_graph(spark, edges, k)
     res = run_cover(comp_edges, algorithm, k,
                     allow_two_cycles=allow_two_cycles, order=order,
                     op_budget=op_budget)

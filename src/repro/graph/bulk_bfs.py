@@ -12,9 +12,11 @@ per-edge Python) computes, for every root ``v``, the set reachable within
 Both are *may*-analyses with no false negatives for constrained simple
 cycles: a simple cycle of length l <= k through an edge/vertex is itself
 a closed walk of length l. Deleting everything unflagged therefore
-preserves the constrained-cycle set exactly — this is the k-aware
-preprocessing the per-component kernels apply uniformly to every
-algorithm (tests assert cycle-set preservation against brute force).
+preserves the constrained-cycle set exactly (tests assert it against
+brute force). This is the k-aware reduction of the TDB family only: the
+per-component kernel alternates it with the SCC mask to a fixpoint
+(:func:`repro.dist.kernels.restrict_to_cycle_region`); the baselines run
+their graph as given.
 """
 from __future__ import annotations
 

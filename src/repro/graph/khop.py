@@ -5,9 +5,11 @@ walk of length <= k: BFS frontiers ``(root, v)`` are grown ``k-1`` times
 by joining with the edge table, and a root is flagged when some reached
 vertex has an edge back to it. The closed-walk length is a lower bound on
 any simple-cycle length through the root, so unflagged vertices are on
-*no* constrained cycle and can be deleted graph-wide before the
-sequential kernels run (a may-analysis: flagged vertices still need the
-exact in-kernel validation, exactly like the paper's per-vertex filter).
+*no* constrained cycle and can be deleted graph-wide (a may-analysis:
+flagged vertices still need an exact check, exactly like the paper's
+per-vertex filter). Its one caller is the distributed verifier
+(:mod:`repro.dist.verify`); the cover pipeline leaves k-aware reduction
+to the TDB kernels' in-kernel restrict.
 """
 from __future__ import annotations
 

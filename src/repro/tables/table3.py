@@ -4,14 +4,14 @@ Measurement protocol (mirrors the paper's):
 
 * **small tier** — every algorithm runs on the *raw* graph as one Spark
   kernel group (``single_group``). The TDB family performs its own
-  trim/SCC/BFS-filter reductions in-kernel, *inside its measured time*;
+  SCC/short-walk reductions in-kernel, *inside its measured time*;
   the baselines run the graph as published. Reported seconds are
   in-kernel seconds (Spark task-scheduling constants excluded
   symmetrically for all algorithms).
 * **large tier** — the baselines still get the raw graph and exhaust
   their op budget (the paper's "-"); TDB++ runs the full distributed
-  pipeline (trim/prefilter/SCC in Spark, per-component kernels in
-  parallel) and reports prep + kernel seconds.
+  pipeline (trim/SCC in Spark, per-component kernels in parallel) and
+  reports prep + kernel seconds.
 
 The TDB++ cover is verified feasible by the distributed checker and (on
 the small tier) minimal by the exact kernel checker before a row is

@@ -1,9 +1,9 @@
 """Table IV harness — TDB++ cover size with vs without 2-cycles, k = 5.
 
-The graph prep is shared between the two modes (the trim/prefilter/SCC
-phases are valid for both); only the kernel's ``allow_two_cycles`` flag
-changes. The paper's observation to reproduce: including 2-cycles blows
-the cover up ~3x on average, most on high-reciprocity graphs.
+The graph prep is shared between the two modes (the trim/SCC phases are
+valid for both); only the kernel's ``allow_two_cycles`` flag changes.
+The paper's observation to reproduce: including 2-cycles blows the cover
+up ~3x on average, most on high-reciprocity graphs.
 """
 from __future__ import annotations
 

@@ -1,5 +1,6 @@
 """Distributed cover pipeline end-to-end."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.top_down import top_down
@@ -32,6 +33,35 @@ def test_pipeline_matches_local_kernel_on_single_scc(spark):
     g = restrict_to_cycle_region(CSRGraph.from_edges(pdf), False, 4)
     res_l = top_down(g, 4, technique="tdb++")
     assert res_d.cover_set() == res_l.cover_set()
+    assert res_d.ops == res_l.ops
+
+
+BRIDGED_TRIANGLES = pd.DataFrame([(0, 1), (1, 2), (2, 0),
+                                  (10, 11), (11, 12), (12, 10),
+                                  (2, 10)], columns=["src", "dst"])
+MULTI_SCC_INPUTS = {
+    "powerlaw": lambda: powerlaw_digraph(80, 180, reciprocity=0.4, seed=1),
+    "uniform": lambda: uniform_digraph(50, 120, reciprocity=0.5, seed=0),
+    "uniform_sparse": lambda: uniform_digraph(60, 110, reciprocity=0.4,
+                                              seed=2),
+    "bridged_triangles": lambda: BRIDGED_TRIANGLES,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_SCC_INPUTS))
+def test_cover_and_ops_independent_of_mode(spark, name):
+    """The TDB kernels restrict to a fixpoint, so the shared Spark phases
+    change neither the cover nor the op count: one raw group and the
+    per-SCC pipeline must agree exactly."""
+    e = edges_df(spark, MULTI_SCC_INPUTS[name]())
+    comp_edges, info = prepare_graph(spark, e, 4)
+    assert info["n_components"] >= 2
+    for algo in ("tdb", "tdb+", "tdb++"):
+        raw = run_cover(single_group(e), algo, 4)
+        piped = run_cover(comp_edges, algo, 4)
+        assert raw.finished and piped.finished
+        assert raw.cover_set() == piped.cover_set(), algo
+        assert raw.ops == piped.ops, algo
 
 
 def test_prepare_graph_info(spark):
@@ -44,7 +74,6 @@ def test_prepare_graph_info(spark):
 
 
 def test_multi_component_graphs_solved_per_component(spark):
-    import pandas as pd
     # two disjoint triangles + noise chain
     pdf = pd.DataFrame([(0, 1), (1, 2), (2, 0),
                         (10, 11), (11, 12), (12, 10),
@@ -59,10 +88,8 @@ def test_multi_component_graphs_solved_per_component(spark):
     assert res.extra["n_components"] == 2
     # two triangles joined by a one-way bridge: one weak component, two
     # SCCs; the bridge lies on no cycle and is cut
-    pdf = pd.DataFrame([(0, 1), (1, 2), (2, 0),
-                        (10, 11), (11, 12), (12, 10),
-                        (2, 10)], columns=["src", "dst"])
-    comp_edges, info = prepare_graph(spark, edges_df(spark, pdf), 3)
+    comp_edges, info = prepare_graph(
+        spark, edges_df(spark, BRIDGED_TRIANGLES), 3)
     assert info["n_components"] == 2
     kept = {(r.src, r.dst) for r in comp_edges.collect()}
     assert (2, 10) not in kept
@@ -70,7 +97,6 @@ def test_multi_component_graphs_solved_per_component(spark):
 
 
 def test_single_group_wraps_raw(spark):
-    import pandas as pd
     pdf = pd.DataFrame([(0, 1), (1, 0)], columns=["src", "dst"])
     sg = single_group(edges_df(spark, pdf)).toPandas()
     assert (sg.comp == 0).all() and len(sg) == 2
