@@ -1,11 +1,14 @@
 """The distributed cover pipeline (DESIGN.md §3).
 
-``prepare_graph``   normalize → trim → SCC → keep intra-component
-                    edges. Iterative DataFrame dataflow plus one grouped
-                    Tarjan pass per weak component
-                    (:mod:`repro.graph.scc`). No k-aware reduction runs
-                    here: each TDB kernel restricts its component to the
-                    edges on closed walks of length <= k itself
+``prepare_graph``   normalize → SCC. Iterative DataFrame dataflow for the
+                    weak components plus one grouped Tarjan pass per weak
+                    component (:mod:`repro.graph.scc`), which emits the
+                    intra-SCC edges directly. No trim runs here: every
+                    edge it would peel lies between SCCs, so the SCC split
+                    drops it anyway (trim runs only in the verifier). No
+                    k-aware reduction runs here either: each TDB kernel
+                    restricts its component to the edges on closed walks
+                    of length <= k itself
                     (:func:`~repro.dist.kernels.restrict_to_cycle_region`,
                     a fixpoint, so the cover and ops are the same as on
                     the raw graph). The output ``(comp, src, dst)`` frame
@@ -38,11 +41,11 @@ from pyspark.sql import functions as F
 
 from ..core.result import CoverResult
 # Not called here; still importable so tracers that wrap
-# ``pipeline.prefilter_edges`` by name keep working.
+# ``pipeline.prefilter_edges`` and ``pipeline.trim`` by name keep working.
 from ..graph.khop import prefilter_edges  # noqa: F401
 from ..graph.schema import normalize_edges
 from ..graph.scc import scc
-from ..graph.trim import trim
+from ..graph.trim import trim  # noqa: F401
 from .kernels import KERNEL_SCHEMA, solve_component
 
 ALGO_LABEL = {"bur": "BUR", "bur+": "BUR+", "tdb": "TDB", "tdb+": "TDB+",
@@ -71,19 +74,11 @@ def prepare_graph(spark: SparkSession, edges: DataFrame, k: int
     t0 = time.perf_counter()
     e = normalize_edges(edges).localCheckpoint(eager=True)
     info["m_input"] = e.count()
-    e = trim(e)
-    info["m_trimmed"] = e.count()
-    comp = scc(spark, e)
-    comp_edges = (e
-                  .join(comp.select(F.col("v").alias("src"),
-                                    F.col("comp").alias("c_src")), "src")
-                  .join(comp.select(F.col("v").alias("dst"),
-                                    F.col("comp").alias("c_dst")), "dst")
-                  .where(F.col("c_src") == F.col("c_dst"))
-                  .select(F.col("c_src").alias("comp"), "src", "dst")
-                  .localCheckpoint(eager=True))
-    info["m_partitioned"] = comp_edges.count()
-    info["n_components"] = comp_edges.select("comp").distinct().count()
+    comp_edges = scc(spark, e).localCheckpoint(eager=True)
+    sizes = comp_edges.agg(F.count("*").alias("m"),
+                           F.countDistinct("comp").alias("c")).first()
+    info["m_partitioned"] = sizes["m"]
+    info["n_components"] = sizes["c"]
     info["prep_seconds"] = time.perf_counter() - t0
     return comp_edges, info
 

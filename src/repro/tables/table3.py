@@ -10,8 +10,8 @@ Measurement protocol (mirrors the paper's):
   symmetrically for all algorithms).
 * **large tier** — the baselines still get the raw graph and exhaust
   their op budget (the paper's "-"); TDB++ runs the full distributed
-  pipeline (trim/SCC in Spark, per-component kernels in parallel) and
-  reports prep + kernel seconds.
+  pipeline (SCC in Spark, per-component kernels in parallel; trim runs
+  only in the distributed verifier) and reports prep + kernel seconds.
 
 The TDB++ cover is verified feasible by the distributed checker and (on
 the small tier) minimal by the exact kernel checker before a row is

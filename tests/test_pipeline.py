@@ -11,6 +11,8 @@ from repro.graph.csr import CSRGraph
 from repro.graph.schema import edges_df
 from repro.graphgen.models import powerlaw_digraph, uniform_digraph
 
+from .test_scc import periphery_heavy, tarjan_scc_edges
+
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("algo", ["tdb++", "bur+"])
@@ -45,6 +47,8 @@ MULTI_SCC_INPUTS = {
     "uniform_sparse": lambda: uniform_digraph(60, 110, reciprocity=0.4,
                                               seed=2),
     "bridged_triangles": lambda: BRIDGED_TRIANGLES,
+    # chains and trees that a trim would peel, and a pendant 2-cycle
+    "periphery": lambda: periphery_heavy(50, 120, reciprocity=0.5, seed=0),
 }
 
 
@@ -68,8 +72,11 @@ def test_prepare_graph_info(spark):
     pdf = powerlaw_digraph(60, 240, reciprocity=0.3, seed=5)
     comp_edges, info = prepare_graph(spark, edges_df(spark, pdf), 5)
     assert set(comp_edges.columns) == {"comp", "src", "dst"}
-    assert info["m_partitioned"] <= info["m_trimmed"] <= info["m_input"]
-    assert info["n_components"] >= 1
+    ref = tarjan_scc_edges(pdf)
+    assert info["m_input"] == len(pdf)
+    assert info["m_partitioned"] == len(ref)
+    assert info["n_components"] == len({c for c, _, _ in ref})
+    assert {tuple(r) for r in comp_edges.collect()} == ref
     assert info["prep_seconds"] > 0
 
 
