@@ -11,7 +11,7 @@ from repro.graph.csr import CSRGraph
 from repro.graphgen.registry import generate
 
 DATASETS = ["WKV", "GNU", "EU"]
-ALGOS = ["tdb++", "bur+"]  # darc-dv is minutes-scale: job-only
+ALGOS = ["tdb++", "bur+"]  # darc-dv takes ~60 s on WKV: job-only
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +37,8 @@ def test_cover_kernel(benchmark, graphs, dataset, algo):
 
 @pytest.mark.parametrize("dataset", ["WKV"])
 def test_darc_dv_small(benchmark, dataset):
-    """DARC-DV on a reduced WKV slice (the full analog is minutes)."""
+    """DARC-DV on a reduced WKV slice (the full analog takes about
+    60 s on a 4-core VM)."""
     from repro.graphgen.models import powerlaw_digraph
     g = CSRGraph.from_edges(powerlaw_digraph(200, 1400, gamma=2.3,
                                              reciprocity=0.2, seed=101))

@@ -16,8 +16,9 @@ pairs sharing a vertex form a length-4 G'-cycle; that reading inflates
 covers ~15x on reciprocated graphs and contradicts the paper's Table III
 where DARC-DV's sizes are within a few percent of BUR+'s, so we implement
 the vertex-simple reading.) The line graph is never materialized:
-G'-adjacency of edge ``x`` is "all edges out of head(x)", read straight
-from the CSR arrays; the worst-case bound is the paper's ``O(n^k)``.
+G'-adjacency of edge ``x`` is "all edges out of head(x)", one ``range``
+of CSR edge ids per G-vertex; the worst-case bound is the paper's
+``O(n^k)``.
 """
 from __future__ import annotations
 
@@ -46,14 +47,19 @@ class _LineGraphDARC:
     def __init__(self, g: CSRGraph, k: int, budget: OpBudget,
                  allow_two_cycles: bool, blocked: bool = True):
         self.blocked = blocked
-        self.g = g
         self.k = k
         self.budget = budget
         self.min_len = 2 if allow_two_cycles else 3
         self.m = g.m
-        # G-edge id e (CSR-out order): tail = edge_tail[e], head = edge_head[e]
-        self.edge_tail = np.repeat(np.arange(g.n), g.out_degrees())
+        # G-edge id e (CSR-out order): tail = _tail[e], head = _head[e].
+        # The searches read these lists, which are much cheaper per element
+        # than numpy scalars; the numpy edge_head serves the projection.
         self.edge_head = g.indices_out
+        self._head = g.indices_out.tolist()
+        self._tail = np.repeat(np.arange(g.n), g.out_degrees()).tolist()
+        # out-edge ids of G vertex v = G'-successors of every edge into v
+        ptr = g.indptr_out.tolist()
+        self._out = [range(ptr[v], ptr[v + 1]) for v in range(g.n)]
         self.S: set[int] = set()   # chosen G'-edges, encoded x*m + y
         self.W: set[int] = set()
         self.P: deque[int] = deque()
@@ -61,17 +67,10 @@ class _LineGraphDARC:
         self.h: dict[int, int] = {}           # G'-edge -> index into U
         # per-search blocked-DFS scratch: blocks over G'-vertices
         # (= G-edges), path membership over G vertices
-        self._block = np.zeros(max(g.m, 1), dtype=np.int64)
-        self._stamp = np.zeros(max(g.m, 1), dtype=np.int64)
-        self._on_vpath = np.zeros(max(g.n, 1), dtype=bool)
+        self._block = [0] * g.m
+        self._stamp = [0] * g.m
+        self._on_vpath = [False] * g.n
         self._epoch = 0
-
-    # -- pair encoding -----------------------------------------------------
-    def enc(self, x: int, y: int) -> int:
-        return x * self.m + y
-
-    def out_edges_of_vertex(self, v: int):
-        return range(int(self.g.indptr_out[v]), int(self.g.indptr_out[v + 1]))
 
     # -- cycle search ------------------------------------------------------
     def find_cycle_through_pair(self, x: int, y: int,
@@ -93,10 +92,11 @@ class _LineGraphDARC:
         found cycle is identical either way (first-in-DFS-order; tests
         assert it).
         """
-        k, S, enc = self.k, self.S, self.enc
-        head = self.edge_head
-        budget = self.budget
-        closing = enc(x, y)
+        k, S, m = self.k, self.S, self.m
+        min_len, blocked = self.min_len, self.blocked
+        head, out = self._head, self._out
+        spend = self.budget.spend
+        closing = x * m + y
         if closing in S and closing != allow_pair:
             return None
         if x == y:
@@ -104,7 +104,7 @@ class _LineGraphDARC:
         self._epoch += 1
         epoch = self._epoch
         block, stamp, on_v = self._block, self._stamp, self._on_vpath
-        v_start = int(self.edge_tail[y])  # shared vertex of the pair
+        v_start = self._tail[y]  # shared vertex of the pair
         path = [y]
         committed = [v_start]
         on_v[v_start] = True
@@ -113,45 +113,51 @@ class _LineGraphDARC:
         def dfs(cur: int, depth: int) -> tuple[bool, bool]:
             # depth = edges on path; returns (found, tainted)
             nonlocal found
-            h = int(head[cur])  # the G vertex this edge lands on
+            h = head[cur]  # the G vertex this edge lands on
             if on_v[h]:
                 return False, True  # vertex revisit: stack-dependent
             on_v[h] = True
             committed.append(h)
             tainted = False
-            rng = self.out_edges_of_vertex(h)
-            budget.spend(len(rng))
-            for nxt in rng:
-                pair = enc(cur, nxt)
+            rng = out[h]
+            spend(len(rng))
+            base = cur * m
+            length = depth + 1
+            # With no hop to spare only the closing edge x can matter, so
+            # look it up instead of scanning the out-edges (the spend above
+            # still counts the whole scan). Most frames sit at this depth.
+            if length < k:
+                nxts = rng
+            elif x in rng:
+                nxts = (x,)
+            else:
+                nxts = ()
+            for nxt in nxts:
+                pair = base + nxt
                 if pair in S and pair != allow_pair:
                     continue
                 if nxt == x:
-                    length = depth + 1
-                    if length < self.min_len:
+                    if length < min_len:
                         tainted = True
                         continue
                     if length > k:
                         continue
                     found = path + [x]
                     return True, False
-                if depth + 1 > k - 1:
+                if (blocked and stamp[nxt] == epoch
+                        and length + block[nxt] > k):
                     continue
-                if self.blocked:
-                    b = block[nxt] if stamp[nxt] == epoch else 0
-                    if depth + 1 + b > k:
-                        continue
                 path.append(nxt)
-                ok, t = dfs(nxt, depth + 1)
+                ok, t = dfs(nxt, length)
                 if ok:
                     return True, False
                 path.pop()
                 tainted |= t
             on_v[h] = False
             committed.pop()
-            if self.blocked and not tainted:
+            if blocked and not tainted:
                 b_new = k - depth + 1
-                prev = block[cur] if stamp[cur] == epoch else 0
-                if b_new > prev:
+                if stamp[cur] != epoch or b_new > block[cur]:
                     block[cur] = b_new
                     stamp[cur] = epoch
             return False, tainted
@@ -165,13 +171,14 @@ class _LineGraphDARC:
 
     def _pairs_of(self, cycle: list[int]) -> list[int]:
         """All G'-edges of a cycle ``[y, ..., x]`` (incl. the closing x->y)."""
-        ps = [self.enc(cycle[i], cycle[i + 1]) for i in range(len(cycle) - 1)]
-        ps.append(self.enc(cycle[-1], cycle[0]))
+        m = self.m
+        ps = [cycle[i] * m + cycle[i + 1] for i in range(len(cycle) - 1)]
+        ps.append(cycle[-1] * m + cycle[0])
         return ps
 
     # -- Algorithm 2 -------------------------------------------------------
     def augment(self, x: int, y: int) -> None:
-        e = self.enc(x, y)
+        e = x * self.m + y
         if e in self.S:
             return
         if e in self.W:
@@ -213,11 +220,13 @@ class _LineGraphDARC:
 
     # -- Algorithm 1 -------------------------------------------------------
     def run(self) -> None:
-        for x in range(self.m):
-            v = int(self.edge_head[x])
-            for y in self.out_edges_of_vertex(v):
-                self.budget.spend()
-                if self.enc(x, y) not in self.S:
+        S, m, head, out = self.S, self.m, self._head, self._out
+        spend = self.budget.spend
+        for x in range(m):
+            base = x * m
+            for y in out[head[x]]:
+                spend()
+                if base + y not in S:
                     self.augment(x, y)
         self.prune()
 

@@ -21,8 +21,8 @@ class CSRGraph:
     ``indptr_out[v]:indptr_out[v+1]`` slices ``indices_out`` to the
     out-neighbors of ``v`` (sorted). ``out_lists[v]`` holds the same
     neighbors as a Python list of ints: the DFS/BFS kernels iterate those,
-    which is much cheaper per element than a numpy slice. The array
-    kernels (bulk BFS, DARC) use the arrays.
+    which is much cheaper per element than a numpy slice. Bulk BFS uses
+    the arrays; DARC turns them into its own edge-indexed lists.
     """
 
     n: int
