@@ -2,23 +2,21 @@
 TDB vs TDB+ vs TDB++ on the WKV analog across k."""
 import pytest
 
-from repro.dist.kernels import restrict_to_cycle_region, run_algorithm
+from repro.dist.kernels import intra_scc_graph, run_algorithm
 from repro.graph.csr import CSRGraph
 from repro.graphgen.registry import generate
 
 
 @pytest.fixture(scope="module")
 def wkv():
-    return CSRGraph.from_edges(generate("WKV"))
+    return intra_scc_graph(CSRGraph.from_edges(generate("WKV")))
 
 
 @pytest.mark.parametrize("k", [3, 5, 7])
 @pytest.mark.parametrize("tech", ["tdb", "tdb+", "tdb++"])
 def test_technique(benchmark, wkv, tech, k):
-    g = restrict_to_cycle_region(wkv, False, k)
-
     def run():
-        return run_algorithm(g, tech, k, op_budget=4_000_000_000)
+        return run_algorithm(wkv, tech, k, op_budget=4_000_000_000)
 
     res = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
     assert res.finished

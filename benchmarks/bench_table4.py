@@ -1,7 +1,7 @@
 """Benchmark behind Table IV: TDB++ with vs without 2-cycles, k = 5."""
 import pytest
 
-from repro.dist.kernels import restrict_to_cycle_region, run_algorithm
+from repro.dist.kernels import intra_scc_graph, run_algorithm
 from repro.graph.csr import CSRGraph
 from repro.graphgen.registry import generate
 
@@ -10,15 +10,15 @@ DATASETS = ["WKV", "ASC"]
 
 @pytest.fixture(scope="module")
 def graphs():
-    return {name: CSRGraph.from_edges(generate(name)) for name in DATASETS}
+    return {name: intra_scc_graph(CSRGraph.from_edges(generate(name)))
+            for name in DATASETS}
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
 @pytest.mark.parametrize("allow2", [False, True],
                          ids=["no_2cycle", "with_2cycle"])
 def test_tdbpp_two_cycle_modes(benchmark, graphs, dataset, allow2):
-    g0 = graphs[dataset]
-    g = restrict_to_cycle_region(g0, allow2, 5)
+    g = graphs[dataset]
 
     def run():
         return run_algorithm(g, "tdb++", 5, allow_two_cycles=allow2,

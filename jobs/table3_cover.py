@@ -5,10 +5,10 @@ Usage: ``python jobs/table3_cover.py [DATASET ...]``
 Env: ``TABLE3_K`` (default 5), ``TABLE3_BASELINE_BUDGET`` /
 ``TABLE3_TDB_BUDGET`` (edge-traversal op budgets).
 
-Rows are appended to ``results/table3_k5_rows.csv`` as they finish (a
-long run that dies keeps its completed rows; rerun the missing datasets
-and the final table is assembled from the row file), and the merged
-table is rewritten to ``results/table3_k5.csv`` after every row.
+Each row is written to ``results/table3_k5_rows.csv`` as it finishes,
+replacing that dataset's earlier row (a long run that dies keeps its
+completed rows; rerun the missing datasets), and the table is rewritten
+to ``results/table3_k5.csv`` after every row.
 """
 import os
 import sys
@@ -22,6 +22,18 @@ import pandas as pd  # noqa: E402
 
 from repro.graphgen.registry import DATASETS  # noqa: E402
 from repro.tables.table3 import run_table3  # noqa: E402
+
+
+def save_row(rows_path: Path, row: pd.DataFrame) -> pd.DataFrame:
+    """Write one dataset's ``row`` into the row file, replacing any
+    earlier row of that dataset; returns the file's rows."""
+    rows = row
+    if rows_path.exists():
+        old = pd.read_csv(rows_path)
+        rows = pd.concat([old[~old.dataset.isin(row.dataset)], row],
+                         ignore_index=True)
+    rows.to_csv(rows_path, index=False)
+    return rows
 
 
 def main() -> None:
@@ -42,13 +54,9 @@ def main() -> None:
             print(f"[table3] {name} FAILED:", file=sys.stderr)
             traceback.print_exc()
             continue
-        header = not rows_path.exists()
-        row.to_csv(rows_path, mode="a", header=header, index=False)
+        rows = save_row(rows_path, row)
         print(row.to_string(index=False))
-        # keep the merged table current (last row per dataset wins)
-        merged = (pd.read_csv(rows_path)
-                  .drop_duplicates("dataset", keep="last"))
-        merged.to_csv(RESULTS / f"table3_k{k}.csv", index=False)
+        rows.to_csv(RESULTS / f"table3_k{k}.csv", index=False)
     emit(pd.read_csv(RESULTS / f"table3_k{k}.csv"), f"table3_k{k}")
     spark.stop()
 

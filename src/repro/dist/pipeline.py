@@ -7,14 +7,13 @@
                     edge it would peel lies between SCCs, so the SCC split
                     drops it anyway (trim runs only in the verifier). No
                     k-aware reduction runs here either: each TDB kernel
-                    restricts its component to the edges on closed walks
-                    of length <= k itself
-                    (:func:`~repro.dist.kernels.restrict_to_cycle_region`,
-                    a fixpoint, so the cover and ops are the same as on
-                    the raw graph). The output ``(comp, src, dst)`` frame
-                    is checkpointed so the expensive shared phases run
-                    once per dataset and every algorithm is then measured
-                    on identical partitioned input.
+                    keeps the edges inside one SCC
+                    (:func:`~repro.dist.kernels.intra_scc_graph`, the same
+                    rule), so its cover and ops are the same as on the raw
+                    graph as one group. The output ``(comp, src, dst)``
+                    frame is checkpointed so the expensive shared phases
+                    run once per dataset and every algorithm is then
+                    measured on identical partitioned input.
 
 ``run_cover``       groups the prepared frame by component and runs the
                     chosen sequential kernel per component in parallel
@@ -56,7 +55,7 @@ def single_group(edges: DataFrame) -> DataFrame:
     """Wrap a raw edge frame as one kernel group (``comp = 0``).
 
     The paper-faithful execution mode for graphs that fit one task: every
-    algorithm sees the raw graph; the TDB kernels do their own reductions
+    algorithm sees the raw graph; the TDB kernels keep its intra-SCC edges
     in-kernel (counted in their time). ``prepare_graph`` is the scale-out
     alternative."""
     return edges.select(F.lit(0).cast("bigint").alias("comp"), "src", "dst")
@@ -68,7 +67,7 @@ def prepare_graph(spark: SparkSession, edges: DataFrame, k: int
 
     ``comp_edges`` has columns ``comp, src, dst`` — only intra-component
     edges survive (cross-SCC edges are on no cycle). No phase here uses
-    ``k``: the k-aware reduction runs inside the TDB kernels.
+    ``k``.
     """
     info: dict = {}
     t0 = time.perf_counter()
@@ -84,18 +83,12 @@ def prepare_graph(spark: SparkSession, edges: DataFrame, k: int
 
 
 def run_cover(comp_edges: DataFrame, algorithm: str, k: int, *,
-              allow_two_cycles: bool = False, order: str = "degree",
-              op_budget: int | None = None,
-              restrict: bool = True) -> CoverResult:
-    """Per-component kernels over a prepared frame → one CoverResult.
-
-    ``restrict=False`` skips the TDB family's in-kernel reductions — used
-    by the technique-speedup study, where the raw search cost of TDB vs
-    TDB+ vs TDB++ is the object of measurement."""
+              allow_two_cycles: bool = False,
+              op_budget: int | None = None) -> CoverResult:
+    """Per-component kernels over a prepared frame → one CoverResult."""
     t0 = time.perf_counter()
     kern = partial(solve_component, algorithm=algorithm, k=k,
-                   allow_two_cycles=allow_two_cycles, order=order,
-                   op_budget=op_budget, restrict=restrict)
+                   allow_two_cycles=allow_two_cycles, op_budget=op_budget)
     out = (comp_edges.groupBy("comp")
            .applyInPandas(lambda pdf: kern(pdf), schema=KERNEL_SCHEMA)
            .toPandas())
@@ -109,19 +102,17 @@ def run_cover(comp_edges: DataFrame, algorithm: str, k: int, *,
         cover=cover.vertex.to_numpy(dtype=np.int64),
         seconds=kernel_seconds, ops=int(stats.ops.sum()),
         allow_two_cycles=allow_two_cycles, finished=finished,
-        extra={"wall_seconds": wall, "n_components": len(stats),
-               "order": order},
+        extra={"wall_seconds": wall, "n_components": len(stats)},
     )
 
 
 def distributed_cover(spark: SparkSession, edges: DataFrame, k: int,
                       algorithm: str = "tdb++", *,
-                      allow_two_cycles: bool = False, order: str = "degree",
+                      allow_two_cycles: bool = False,
                       op_budget: int | None = None) -> CoverResult:
     """One-shot: prepare the graph and run one algorithm."""
     comp_edges, info = prepare_graph(spark, edges, k)
     res = run_cover(comp_edges, algorithm, k,
-                    allow_two_cycles=allow_two_cycles, order=order,
-                    op_budget=op_budget)
+                    allow_two_cycles=allow_two_cycles, op_budget=op_budget)
     res.extra.update(info)
     return res

@@ -13,10 +13,11 @@ Both are *may*-analyses with no false negatives for constrained simple
 cycles: a simple cycle of length l <= k through an edge/vertex is itself
 a closed walk of length l. Deleting everything unflagged therefore
 preserves the constrained-cycle set exactly (tests assert it against
-brute force). This is the k-aware reduction of the TDB family only: the
-per-component kernel alternates it with the SCC mask to a fixpoint
-(:func:`repro.dist.kernels.restrict_to_cycle_region`); the baselines run
-their graph as given.
+brute force). No program code calls it: the TDB kernels keep only the
+intra-SCC edges, and a short-walk restrict in front of their search cost
+more than it saved. ``repro.dist.kernels`` still re-imports
+:func:`restrict_to_short_walk_edges` for ``perfbench/spans.py``, which
+wraps it by name.
 """
 from __future__ import annotations
 

@@ -9,8 +9,10 @@ the cover problem embarrassingly parallel per component. Two steps:
    the smallest id of its weakly connected component.
 2. **Grouped Tarjan** — one ``groupBy(weak).applyInPandas`` pass: every
    SCC lies inside one weak component, so each task runs the sequential
-   :func:`repro.graph.tarjan.tarjan_scc` on its weak component's edges and
-   emits only the edges inside one SCC, already labelled by component.
+   :func:`repro.graph.tarjan.scc_edge_mask` on its weak component's edges
+   and emits only the edges inside one SCC, already labelled by component.
+   The TDB kernels apply the same rule, so a component's frame is already
+   the graph they search.
 
 The result is exact at any depth of SCC chain, in a number of Spark jobs
 bounded by the weak components' propagation depth. It also drops every
@@ -31,7 +33,7 @@ from pyspark.sql import functions as F
 
 from .csr import CSRGraph
 from .schema import vertices
-from .tarjan import tarjan_scc
+from .tarjan import scc_edge_mask
 
 SCC_SCHEMA = "comp BIGINT, src BIGINT, dst BIGINT"
 
@@ -62,12 +64,10 @@ def _tarjan_group(pdf: pd.DataFrame) -> pd.DataFrame:
     """One weak component's edges → its intra-SCC edges ``(comp, src,
     dst)``, comp = max id in the SCC."""
     g = CSRGraph.from_edges(pdf)
-    local = tarjan_scc(g)
+    local, inside = scc_edge_mask(g)
     top = np.full(local.max() + 1, np.iinfo(np.int64).min, dtype=np.int64)
     np.maximum.at(top, local, g.vertex_ids)
-    src, dst = g.edge_array().T
-    inside = local[src] == local[dst]
-    src, dst = src[inside], dst[inside]
+    src, dst = g.edge_array()[inside].T
     return pd.DataFrame({"comp": top[local[src]], "src": g.vertex_ids[src],
                          "dst": g.vertex_ids[dst]})
 

@@ -1,10 +1,11 @@
 """Iterative Tarjan strongly-connected components over a CSR graph.
 
-Used (a) as the in-kernel decomposition before cover search — constrained
-cycles never cross SCC boundaries, so each component is an independent
-subproblem — (b) per weak component inside the distributed SCC of
-:mod:`repro.graph.scc`, and (c) on the whole graph as the reference for
-that SCC's tests.
+Constrained cycles never cross SCC boundaries, so the edges inside one SCC
+are the whole cover problem. :func:`scc_edge_mask` is that one graph
+reduction, used (a) per weak component inside the distributed SCC of
+:mod:`repro.graph.scc` and (b) by the TDB kernels on their component
+(:func:`repro.dist.kernels.intra_scc_graph`). :func:`tarjan_scc` on the
+whole graph is also the reference for the distributed SCC's tests.
 """
 from __future__ import annotations
 
@@ -73,6 +74,15 @@ def tarjan_scc(g: CSRGraph, mask: np.ndarray | None = None) -> np.ndarray:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
     return comp
+
+
+def scc_edge_mask(g: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
+    """``(comp, inside)``: the SCC labels of :func:`tarjan_scc` and a mask
+    over ``g.edge_array()`` that is True for the edges whose ends share an
+    SCC. Every other edge lies on no cycle."""
+    comp = tarjan_scc(g)
+    src, dst = g.edge_array().T
+    return comp, comp[src] == comp[dst]
 
 
 def nontrivial_scc_mask(g: CSRGraph, mask: np.ndarray | None = None,

@@ -1,139 +1,15 @@
-"""Synthetic OLAP data at a configurable scale factor.
+"""Spark edge frames for the Table II dataset analogs.
 
-SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
-benchmarks use SF~=0.1. Generators are deterministic in ``seed`` so the
-DuckDB oracle sees identical input.
+The detailed models and the registry of analogs live in
+:mod:`repro.graphgen`; :func:`graph_edges` lifts one into the Spark edge
+normal form used by the whole repo. Generators are deterministic, so every
+run sees identical input.
 """
-import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-_N_LINEITEM_PER_SF = 6_000_000
-_N_ORDERS_PER_SF = 1_500_000
-_N_CUSTOMER_PER_SF = 150_000
-_N_PART_PER_SF = 200_000
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
-def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFrame:
-    n = max(1, int(_N_LINEITEM_PER_SF * sf))
-    n_orders = max(1, int(_N_ORDERS_PER_SF * sf))
-    n_part = max(1, int(_N_PART_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "l_orderkey": g.integers(1, n_orders + 1, n),
-            "l_partkey": g.integers(1, n_part + 1, n),
-            "l_linenumber": g.integers(1, 8, n),
-            "l_quantity": g.integers(1, 51, n).astype("float64"),
-            "l_extendedprice": (g.random(n) * 90000 + 900).round(2),
-            "l_discount": (g.random(n) * 0.1).round(2),
-            "l_tax": (g.random(n) * 0.08).round(2),
-            "l_returnflag": g.choice(list("NRA"), n),
-            "l_linestatus": g.choice(list("OF"), n),
-            "l_shipdate": pd.to_datetime("1992-01-01")
-            + pd.to_timedelta(g.integers(0, 2557, n), unit="D"),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame:
-    n = max(1, int(_N_ORDERS_PER_SF * sf))
-    n_cust = max(1, int(_N_CUSTOMER_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "o_orderkey": np.arange(1, n + 1),
-            "o_custkey": g.integers(1, n_cust + 1, n),
-            "o_orderstatus": g.choice(list("OFP"), n),
-            "o_totalprice": (g.random(n) * 500000 + 1000).round(2),
-            "o_orderdate": pd.to_datetime("1992-01-01")
-            + pd.to_timedelta(g.integers(0, 2406, n), unit="D"),
-            "o_orderpriority": g.choice(
-                ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT", "5-LOW"], n
-            ),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
-    n = max(1, int(_N_PART_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "p_partkey": np.arange(1, n + 1),
-            "p_type": g.choice(
-                ["STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO"], n
-            ),
-            "p_brand": g.choice([f"Brand#{i}{j}" for i in range(1, 6) for j in range(1, 6)], n),
-            "p_size": g.integers(1, 51, n),
-            "p_retailprice": (900 + (np.arange(1, n + 1) % 1000) / 10.0).round(2),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFrame:
-    n = max(1, int(_N_CUSTOMER_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "c_custkey": np.arange(1, n + 1),
-            "c_nationkey": g.integers(0, 25, n),
-            "c_acctbal": (g.random(n) * 10000 - 1000).round(2),
-            "c_mktsegment": g.choice(
-                ["BUILDING", "AUTOMOBILE", "MACHINERY", "HOUSEHOLD", "FURNITURE"], n
-            ),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-# --------------------------------------------------------------------------
-# Directed graphs (the TDB paper's evaluation domain). The detailed models
-# and the Table II dataset analogs live in repro.graphgen; these wrappers
-# lift them into the Spark edge normal form used by the whole repo.
-# --------------------------------------------------------------------------
 
 def graph_edges(spark: SparkSession, name: str) -> DataFrame:
     """Edge DataFrame for a named Table II analog (see graphgen.registry)."""
     from .graphgen.registry import generate
     from .graph.schema import edges_df
     return edges_df(spark, generate(name))
-
-
-def ecommerce_graph(spark: SparkSession, *, n_accounts: int = 1000,
-                    n_transfers: int = 8000, reciprocity: float = 0.3,
-                    seed: int = 7) -> DataFrame:
-    """Synthetic e-commerce transfer network (the paper's Fig. 1 setting).
-
-    Vertices are accounts, edges are money transfers; heavy-tailed degree
-    (a few very active accounts) with tunable reciprocity — the fraud
-    cycles the cover is meant to break live in the reciprocated core.
-    """
-    from .graphgen.models import powerlaw_digraph
-    from .graph.schema import edges_df
-    pdf = powerlaw_digraph(n_accounts, n_transfers, gamma=2.2,
-                           reciprocity=reciprocity, seed=seed)
-    return edges_df(spark, pdf)
-
-
-def random_digraph(spark: SparkSession, *, n: int, m: int,
-                   model: str = "uniform", reciprocity: float = 0.0,
-                   gamma: float = 2.3, seed: int = 0) -> DataFrame:
-    """Parametric digraph for tests (uniform or power-law)."""
-    from .graphgen.models import powerlaw_digraph, uniform_digraph
-    from .graph.schema import edges_df
-    if model == "uniform":
-        pdf = uniform_digraph(n, m, reciprocity=reciprocity, seed=seed)
-    elif model == "powerlaw":
-        pdf = powerlaw_digraph(n, m, gamma=gamma, reciprocity=reciprocity,
-                               seed=seed)
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    return edges_df(spark, pdf)

@@ -3,17 +3,17 @@ figures are out of scope, but the claim "the block and BFS-filter
 techniques provide the speedup, more so for larger k / bigger graphs" is
 worth a regenerable artifact).
 
-The three techniques run WITHOUT the in-kernel graph reductions
-(``restrict=False``): the object of measurement here is the raw search
-cost of TDB vs TDB+ vs TDB++, exactly Fig. 10's comparison. On the small
-WKV/WGO analogs (Fig. 10's datasets) all techniques are close — their
-cyclic cores are success-dominated; on the hierarchical FLK analog the
-block technique separates (~2-3x fewer ops than plain TDB). Even plain
-TDB survives the acyclic bulk that kills bottom-up search, because the
-top-down working graph G0 grows from empty (§VI-A's point: search spaces
-range from the empty graph to G-R, not from G); the paper's
-orders-of-magnitude Fig. 10 gaps require full-scale graphs. Covers of
-finished runs are identical by construction (asserted)."""
+The three techniques run on the raw graph as one kernel group, like Table
+III's small tier, so each searches the same intra-SCC graph and TDB++'s
+cover equals Table III's at k = 5. On the small WKV/WGO analogs (Fig. 10's
+datasets) all techniques are close — their cyclic cores are
+success-dominated; on the hierarchical FLK analog the block technique
+separates (~2-3x fewer ops than plain TDB). Even plain TDB survives the
+acyclic bulk that kills bottom-up search, because the top-down working
+graph G0 grows from empty (§VI-A's point: search spaces range from the
+empty graph to G-R, not from G); the paper's orders-of-magnitude Fig. 10
+gaps require full-scale graphs. Covers of finished runs are identical by
+construction (asserted)."""
 from __future__ import annotations
 
 import numpy as np
@@ -37,8 +37,7 @@ def run_speedup(spark: SparkSession, *, datasets: tuple = ("WKV", "WGO"),
             sizes = set()
             row = {"dataset": name, "k": k}
             for tech in TECHNIQUES:
-                res = run_cover(raw, tech, k, op_budget=op_budget,
-                                restrict=False)
+                res = run_cover(raw, tech, k, op_budget=op_budget)
                 label = res.algorithm
                 row[f"{label}_ops"] = res.ops
                 if res.finished:

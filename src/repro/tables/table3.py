@@ -3,9 +3,9 @@
 Measurement protocol (mirrors the paper's):
 
 * **small tier** — every algorithm runs on the *raw* graph as one Spark
-  kernel group (``single_group``). The TDB family performs its own
-  SCC/short-walk reductions in-kernel, *inside its measured time*;
-  the baselines run the graph as published. Reported seconds are
+  kernel group (``single_group``). The TDB family keeps the graph's
+  intra-SCC edges in-kernel, *inside its measured time*; the baselines
+  run the graph as published. Reported seconds are
   in-kernel seconds (Spark task-scheduling constants excluded
   symmetrically for all algorithms).
 * **large tier** — the baselines still get the raw graph and exhaust

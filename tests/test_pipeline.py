@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.top_down import top_down
 from repro.core.verify import check_feasible, check_minimal
+from repro.dist.kernels import intra_scc_graph
 from repro.dist.pipeline import (distributed_cover, prepare_graph,
                                  run_cover, single_group)
 from repro.graph.csr import CSRGraph
@@ -28,11 +29,10 @@ def test_end_to_end_feasible_minimal(spark, seed, algo):
 
 def test_pipeline_matches_local_kernel_on_single_scc(spark):
     """When the whole graph is one SCC, the pipeline cover must equal the
-    local kernel cover (same deterministic restriction + order)."""
-    from repro.dist.kernels import restrict_to_cycle_region
+    local kernel cover (same intra-SCC graph and order)."""
     pdf = uniform_digraph(14, 60, reciprocity=0.5, seed=4)
     res_d = distributed_cover(spark, edges_df(spark, pdf), 4, "tdb++")
-    g = restrict_to_cycle_region(CSRGraph.from_edges(pdf), False, 4)
+    g = intra_scc_graph(CSRGraph.from_edges(pdf))
     res_l = top_down(g, 4, technique="tdb++")
     assert res_d.cover_set() == res_l.cover_set()
     assert res_d.ops == res_l.ops
@@ -54,9 +54,9 @@ MULTI_SCC_INPUTS = {
 
 @pytest.mark.parametrize("name", sorted(MULTI_SCC_INPUTS))
 def test_cover_and_ops_independent_of_mode(spark, name):
-    """The TDB kernels restrict to a fixpoint, so the shared Spark phases
-    change neither the cover nor the op count: one raw group and the
-    per-SCC pipeline must agree exactly."""
+    """The TDB kernels keep the intra-SCC edges, the same rule as the SCC
+    split, so the shared Spark phases change neither the cover nor the op
+    count: one raw group and the per-SCC pipeline must agree exactly."""
     e = edges_df(spark, MULTI_SCC_INPUTS[name]())
     comp_edges, info = prepare_graph(spark, e, 4)
     assert info["n_components"] >= 2

@@ -1,57 +1,9 @@
-"""Provided TPC-H-lite generators + the graph extensions, oracled."""
-import pytest
-from pyspark.sql import functions as F
-
+"""Spark edge frames for the named dataset analogs."""
 from repro import synth_data
 from repro.graph.schema import graph_stats
-from repro.oracle import assert_equivalent
-
-
-def test_lineitem_deterministic(spark):
-    a = synth_data.lineitem(spark, sf=0.001, seed=0).count()
-    b = synth_data.lineitem(spark, sf=0.001, seed=0).count()
-    assert a == b == 6000
-
-
-def test_tpch_q1_like_agg_vs_oracle(spark):
-    """Exercise the provided oracle on a classic aggregation."""
-    li = synth_data.lineitem(spark, sf=0.001)
-    got = (li.groupBy("l_returnflag", "l_linestatus")
-           .agg(F.sum("l_quantity").alias("sum_qty"),
-                F.count("*").alias("cnt")))
-    assert_equivalent(
-        got,
-        "SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS sum_qty, "
-        "COUNT(*) AS cnt FROM li GROUP BY l_returnflag, l_linestatus",
-        li=li,
-    )
-
-
-def test_orders_customer_part_shapes(spark):
-    assert synth_data.orders(spark, sf=0.001).count() == 1500
-    assert synth_data.customer(spark, sf=0.001).count() == 150
-    assert synth_data.part(spark, sf=0.001).count() == 200
 
 
 def test_graph_edges_named(spark):
     e = synth_data.graph_edges(spark, "WKV")
     st = graph_stats(e)
     assert st["m"] > 3000 and st["n"] <= 300
-
-
-def test_ecommerce_graph(spark):
-    e = synth_data.ecommerce_graph(spark, n_accounts=200, n_transfers=1200)
-    st = graph_stats(e)
-    assert st["n"] <= 200 and st["m"] > 800
-
-
-@pytest.mark.parametrize("model", ["uniform", "powerlaw"])
-def test_random_digraph_models(spark, model):
-    e = synth_data.random_digraph(spark, n=50, m=200, model=model, seed=1)
-    assert e.where(F.col("src") == F.col("dst")).count() == 0
-    assert e.count() == e.distinct().count()
-
-
-def test_random_digraph_unknown_model(spark):
-    with pytest.raises(ValueError):
-        synth_data.random_digraph(spark, n=10, m=20, model="bogus")
