@@ -16,32 +16,35 @@ may-analysis; the verifier enforces the length->=3 rule.
 """
 from __future__ import annotations
 
-import numpy as np
+from collections.abc import Sequence
 
 from .engine import OpBudget, Workspace
 
 
-def bfs_filter(g, v: int, k: int, active: np.ndarray, ws: Workspace,
+def bfs_filter(g, v: int, k: int, active: Sequence[bool], ws: Workspace,
                budget: OpBudget) -> bool:
     """True iff ``v`` lies on a closed walk of length <= k in the active
-    subgraph (i.e. the vertex *needs* exact validation)."""
+    subgraph (i.e. the vertex *needs* exact validation). ``active`` is
+    read once per edge, so callers pass a Python list."""
     if k < 2:
         return False
     epoch = ws.new_epoch()
     dist = ws.dist
     stamp = ws.dist_stamp
     queue = ws.queue
+    out = g.out_lists
+    spend = budget.spend
     head = tail = 0
     queue[tail] = v
     tail += 1
     dist[v] = 0
     stamp[v] = epoch
     while head < tail:
-        u = int(queue[head])
+        u = queue[head]
         head += 1
-        d = int(dist[u])
-        nbrs = g.out_neighbors(u)
-        budget.spend(len(nbrs))
+        d = dist[u]
+        nbrs = out[u]
+        spend(len(nbrs))
         for w in nbrs:
             if w == v:
                 # closed walk of length d+1 (d+1 >= 2 here: self-loops

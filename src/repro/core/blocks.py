@@ -14,8 +14,13 @@ cycle, so both modes return the same first cycle in DFS order.
 
 The DFS runs on an explicit stack: one frame per path vertex holding its
 neighbor iterator, so the path may be as long as ``n`` (the ``k=None``
-variant) without touching the interpreter's recursion limit. Each pushed
-frame spends its out-degree against the budget once, when it is pushed.
+variant) without touching the interpreter's recursion limit. Each frame
+spends its out-degree against the budget once, when it is opened. A frame
+at depth ``k - 1`` can only close the cycle through ``s``, so its parent
+runs it inline (one membership test on its neighbor list, and its block
+certificate on failure) instead of pushing it; the visiting order and the
+op count are those of the pushed frame. All per-vertex state (adjacency,
+workspace, ``active``) is read from Python lists.
 
 Because the search early-terminates on the first cycle, the UNBLOCK cascade
 of Algorithm 10 is only ever invoked on the success path where the caller
@@ -45,16 +50,15 @@ disappear (Johnson-style blocking, existence-only).
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import partial
-
-import numpy as np
 
 from .engine import OpBudget, Workspace
 
-_INF = np.iinfo(np.int64).max // 4
+_INF = (2 ** 63 - 1) // 4
 
 
-def node_necessary(g, s: int, k: int | None, active: np.ndarray,
+def node_necessary(g, s: int, k: int | None, active: Sequence[bool],
                    ws: Workspace, budget: OpBudget, *,
                    allow_two_cycles: bool = False,
                    blocked: bool = True) -> list[int] | None:
@@ -65,23 +69,27 @@ def node_necessary(g, s: int, k: int | None, active: np.ndarray,
     Algorithm 7 (start re-activated) call it. ``k=None`` runs the
     unconstrained variant (any length >= min_len). ``blocked=False`` turns
     the barriers off (Algorithm 5). The cycle is returned as its vertex
-    list from ``s``, without the repeated endpoint.
+    list from ``s``, without the repeated endpoint. The search reads
+    ``active[w]`` once per edge, so callers pass a Python list.
     """
     min_len = 2 if allow_two_cycles else 3
     unconstrained = k is None
     if not unconstrained and k < min_len:
         return None
     kk = _INF if unconstrained else k  # no hop guard fires at _INF
+    last = kk - 2  # a frame at this depth runs its children's frames inline
     epoch = ws.new_epoch()
     block = ws.block
     stamp = ws.block_stamp
     in_stack = ws.in_stack
+    out = g.out_lists
+    spend = budget.spend
     block_log: list[int] = []  # vertices whose block was set, in set order
     path = [s]
     in_stack[s] = True
     try:
-        nbrs = g.out_neighbors(s)
-        budget.spend(len(nbrs))
+        nbrs = out[s]
+        spend(len(nbrs))
         # frame per path vertex: [neighbor iterator, len(block_log) when
         # pushed, whether a too-short closure to s was skipped]
         frames = [[iter(nbrs), 0, False]]
@@ -101,10 +109,21 @@ def node_necessary(g, s: int, k: int | None, active: np.ndarray,
                 if blocked and stamp[w] == epoch \
                         and depth + 1 + block[w] > kk:
                     continue
+                nbrs = out[w]
+                spend(len(nbrs))
+                if depth == last:
+                    # w's frame would sit at depth k - 1, where only the
+                    # closing edge w -> s can matter (length k >= min_len,
+                    # so no closure is skipped): run it here, not pushed.
+                    if s in nbrs:
+                        return path + [w]
+                    if blocked and (stamp[w] != epoch or block[w] < 2):
+                        block[w] = 2  # k - depth + 1 at depth k - 1
+                        stamp[w] = epoch
+                        block_log.append(w)
+                    continue
                 in_stack[w] = True
                 path.append(w)
-                nbrs = g.out_neighbors(w)
-                budget.spend(len(nbrs))
                 frames.append([iter(nbrs), len(block_log), False])
                 break
             else:

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from ..graph.csr import CSRGraph
 from .engine import OpBudget, OpBudgetExceeded, Workspace
 from .blocks import find_cycle
 from .result import CoverResult
 
 
-def find_cover_node(cycle: list[int], hits: np.ndarray) -> int:
+def find_cover_node(cycle: list[int], hits: list[int]) -> int:
     """Algorithm 6: the cycle vertex with maximum hit-count (first wins)."""
     best = cycle[0]
     best_h = hits[best]
@@ -35,8 +33,8 @@ def bottom_up(g: CSRGraph, k: int, *, allow_two_cycles: bool = False,
     """Run BUR on ``g``; returns cover in original vertex labels."""
     budget = budget or OpBudget()
     ws = ws or Workspace(g.n)
-    hits = np.zeros(g.n, dtype=np.int64)
-    alive = np.ones(g.n, dtype=bool)
+    hits = [0] * g.n
+    alive = [True] * g.n
     cover: list[int] = []
     t0 = time.perf_counter()
     finished = True
@@ -62,5 +60,5 @@ def bottom_up(g: CSRGraph, k: int, *, allow_two_cycles: bool = False,
         algorithm="BUR", k=k, cover=g.to_labels(cover),
         seconds=time.perf_counter() - t0, ops=budget.spent,
         allow_two_cycles=allow_two_cycles, finished=finished,
-        extra={"hits_nonzero": int((hits > 0).sum())},
+        extra={"hits_nonzero": sum(h > 0 for h in hits)},
     )

@@ -109,6 +109,7 @@ class _LineGraphDARC:
         committed = [v_start]
         on_v[v_start] = True
         found: list[int] | None = None
+        last = k - 1  # a frame at this length runs its children inline
 
         def dfs(cur: int, depth: int) -> tuple[bool, bool]:
             # depth = edges on path; returns (found, tainted)
@@ -125,7 +126,8 @@ class _LineGraphDARC:
             length = depth + 1
             # With no hop to spare only the closing edge x can matter, so
             # look it up instead of scanning the out-edges (the spend above
-            # still counts the whole scan). Most frames sit at this depth.
+            # still counts the whole scan). Only the root frame at k = 2
+            # gets here: deeper last-hop frames run inline in the loop.
             if length < k:
                 nxts = rng
             elif x in rng:
@@ -146,6 +148,26 @@ class _LineGraphDARC:
                     return True, False
                 if (blocked and stamp[nxt] == epoch
                         and length + block[nxt] > k):
+                    continue
+                if length == last:
+                    # nxt's frame has no hop to spare: run it here instead
+                    # of calling dfs. It lands on head[nxt], pays for its
+                    # out-edges and can only close through x; its length
+                    # k >= 3 never skips a short closure.
+                    h_nxt = head[nxt]
+                    if on_v[h_nxt]:
+                        tainted = True  # vertex revisit: stack-dependent
+                        continue
+                    rng_nxt = out[h_nxt]
+                    spend(len(rng_nxt))
+                    if x in rng_nxt:
+                        pair = nxt * m + x
+                        if pair not in S or pair == allow_pair:
+                            found = path + [nxt, x]
+                            return True, False
+                    if blocked and (stamp[nxt] != epoch or block[nxt] < 2):
+                        block[nxt] = 2  # k - depth + 1 at depth k - 1
+                        stamp[nxt] = epoch
                     continue
                 path.append(nxt)
                 ok, t = dfs(nxt, length)

@@ -10,10 +10,16 @@ the Table III ``-`` cells for the large datasets are reproduced.
 block values, BFS distances) with *version stamping* so that a fresh
 logical array is available in O(1) per search instead of O(n) reallocation
 — essential because the top-down driver runs up to ``n`` searches.
+
+The searches read one per-vertex value per edge, so every per-vertex
+array they touch is a Python list: the workspace fields here, the
+``accepted``/``alive`` masks of the top-down, bottom-up, pruning and
+verifier loops, Tarjan's index/low, and DARC's line-graph scratch. Reading a
+list element costs several times less than reading a numpy scalar;
+numpy stays in the whole-array steps (CSR build, degree order, SCC edge
+masks, label mapping).
 """
 from __future__ import annotations
-
-import numpy as np
 
 
 class OpBudgetExceeded(Exception):
@@ -48,7 +54,7 @@ class OpBudget:
 
 
 class Workspace:
-    """Reusable stamped scratch arrays for the search kernels.
+    """Reusable stamped scratch lists for the search kernels.
 
     ``block`` / ``block_stamp``: per-vertex block (barrier) values, valid
     only when the stamp matches the current search epoch — ``new_epoch()``
@@ -68,12 +74,12 @@ class Workspace:
 
     def __init__(self, n: int):
         self.n = n
-        self.block = np.zeros(n, dtype=np.int64)
-        self.block_stamp = np.zeros(n, dtype=np.int64)
-        self.in_stack = np.zeros(n, dtype=bool)
-        self.dist = np.zeros(n, dtype=np.int64)
-        self.dist_stamp = np.zeros(n, dtype=np.int64)
-        self.queue = np.zeros(max(n, 1), dtype=np.int64)
+        self.block = [0] * n
+        self.block_stamp = [0] * n
+        self.in_stack = [False] * n
+        self.dist = [0] * n
+        self.dist_stamp = [0] * n
+        self.queue = [0] * max(n, 1)
         self._epoch = 0
 
     def new_epoch(self) -> int:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from ..graph.csr import CSRGraph
 from .engine import OpBudget, OpBudgetExceeded, Workspace
 from .bottom_up import bottom_up
@@ -26,20 +24,19 @@ def find_minimal_cover(g: CSRGraph, k: int, cover_local: list[int], *,
     """Prune ``cover_local`` (CSR-local ids) to a minimal cover of ``g``."""
     budget = budget or OpBudget()
     ws = ws or Workspace(g.n)
-    in_r = np.zeros(g.n, dtype=bool)
-    in_r[np.asarray(cover_local, dtype=np.int64)] = True
-    alive = ~in_r
+    alive = [True] * g.n
+    for v in cover_local:
+        alive[v] = False
     kept: list[int] = []
     for v in cover_local:
         # G - R + (v): v temporarily alive for its own witness search
         alive[v] = True
         cyc = find_cycle(g, v, k, alive, ws, budget,
                          allow_two_cycles=allow_two_cycles)
-        if cyc is None:
-            in_r[v] = False  # redundant: drop, and leave alive for later
-        else:
+        if cyc is not None:
             kept.append(v)
             alive[v] = False
+        # no witness: v is redundant, dropped and left alive for later
     return kept
 
 

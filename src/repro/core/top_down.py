@@ -10,7 +10,8 @@ through ``v``:
 
 ``G0`` is represented implicitly: an ``accepted`` mask over the original
 CSR graph (a vertex's edges are "in G0" iff the vertex was accepted), so
-adding/withdrawing edges is O(1).
+adding/withdrawing edges is O(1). The mask is a Python list, because the
+searches read it once per edge.
 
 Techniques (§VI):
 
@@ -72,15 +73,14 @@ def top_down(g: CSRGraph, k: int | None, *, technique: str = "tdb++",
                          "terminate usefully without a hop bound")
     budget = budget or OpBudget()
     ws = ws or Workspace(g.n)
-    accepted = np.zeros(g.n, dtype=bool)  # vertices whose edges are in G0
+    accepted = [False] * g.n  # vertices whose edges are in G0
     cover: list[int] = []
     t0 = time.perf_counter()
     finished = True
     use_filter = technique == "tdb++" and k is not None
     use_blocks = technique in ("tdb+", "tdb++")
     try:
-        for v in vertex_order(g, order):
-            v = int(v)
+        for v in vertex_order(g, order).tolist():
             if use_filter and not bfs_filter(g, v, k, accepted, ws, budget):
                 accepted[v] = True  # no closed walk <= k: provably safe
                 continue

@@ -15,7 +15,7 @@ from ..graph.tarjan import nontrivial_scc_mask
 
 
 def _local_cover(g: CSRGraph, cover_labels) -> np.ndarray:
-    lookup = {int(lbl): i for i, lbl in enumerate(g.vertex_ids)}
+    lookup = {lbl: i for i, lbl in enumerate(g.vertex_ids.tolist())}
     return np.fromiter((lookup[int(v)] for v in cover_labels
                         if int(v) in lookup), dtype=np.int64)
 
@@ -29,16 +29,19 @@ def check_feasible(g: CSRGraph, cover_labels, k: int | None, *,
     ids) when infeasible. Strategy: remove the cover, keep only vertices in
     non-trivial SCCs, then sweep — a vertex with no constrained cycle
     through it can itself be removed before checking the next one, so the
-    residual graph monotonically shrinks.
+    residual graph monotonically shrinks. The cover removal and the SCC
+    pass are whole-array steps; the sweep's searches read ``alive`` once
+    per edge, so it becomes a list first.
     """
     budget = budget or OpBudget()
     ws = Workspace(g.n)
     alive = np.ones(g.n, dtype=bool)
     alive[_local_cover(g, cover_labels)] = False
-    cand = nontrivial_scc_mask(g, alive, allow_two_cycles=allow_two_cycles)
-    alive &= cand
-    for v in np.flatnonzero(alive):
-        v = int(v)
+    alive &= nontrivial_scc_mask(g, alive,
+                                 allow_two_cycles=allow_two_cycles)
+    sweep = np.flatnonzero(alive).tolist()
+    alive = alive.tolist()
+    for v in sweep:
         cyc = node_necessary(g, v, k, alive, ws, budget,
                              allow_two_cycles=allow_two_cycles)
         if cyc is not None:
@@ -56,9 +59,9 @@ def check_minimal(g: CSRGraph, cover_labels, k: int | None, *,
     local = _local_cover(g, cover_labels)
     alive = np.ones(g.n, dtype=bool)
     alive[local] = False
+    alive = alive.tolist()
     redundant: list[int] = []
-    for v in local:
-        v = int(v)
+    for v in local.tolist():
         alive[v] = True
         cyc = node_necessary(g, v, k, alive, ws, budget,
                              allow_two_cycles=allow_two_cycles)

@@ -20,9 +20,11 @@ class CSRGraph:
 
     ``indptr_out[v]:indptr_out[v+1]`` slices ``indices_out`` to the
     out-neighbors of ``v`` (sorted). ``out_lists[v]`` holds the same
-    neighbors as a Python list of ints: the DFS/BFS kernels iterate those,
-    which is much cheaper per element than a numpy slice. Bulk BFS uses
-    the arrays; DARC turns them into its own edge-indexed lists.
+    neighbors as a Python list of ints, which is much cheaper per element
+    than a numpy slice: the block DFS (``core/blocks.py``), the BFS filter,
+    Tarjan and the brute-force oracle iterate those lists. DARC turns the
+    arrays into its own edge-indexed lists; bulk BFS and the whole-array
+    steps (degrees, ``edge_array``) use the arrays.
     """
 
     n: int

@@ -21,18 +21,19 @@ def tarjan_scc(g: CSRGraph, mask: np.ndarray | None = None) -> np.ndarray:
     masked-out vertices get component id ``-1``. Component ids are dense
     ``0..c-1`` in reverse topological discovery order (ids themselves carry
     no meaning — tests compare partitions, kernels only group by them).
+    The DFS keeps its per-vertex state in Python lists, which it reads
+    once per edge; only the returned labels are a numpy array.
     """
     n = g.n
-    comp = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return comp
-    index = np.full(n, -1, dtype=np.int64)
-    low = np.zeros(n, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
+    comp = [-1] * n
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
     stack: list[int] = []
     counter = 0
     n_comp = 0
-    active = mask if mask is not None else np.ones(n, dtype=bool)
+    active = mask.tolist() if mask is not None else [True] * n
+    out = g.out_lists
 
     for root in range(n):
         if not active[root] or index[root] != -1:
@@ -46,7 +47,7 @@ def tarjan_scc(g: CSRGraph, mask: np.ndarray | None = None) -> np.ndarray:
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
-            nbrs = g.out_neighbors(v)
+            nbrs = out[v]
             advanced = False
             while i < len(nbrs):
                 w = nbrs[i]
@@ -58,8 +59,8 @@ def tarjan_scc(g: CSRGraph, mask: np.ndarray | None = None) -> np.ndarray:
                     work.append((w, 0))
                     advanced = True
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
             if advanced:
                 continue
             if low[v] == index[v]:
@@ -72,8 +73,9 @@ def tarjan_scc(g: CSRGraph, mask: np.ndarray | None = None) -> np.ndarray:
                 n_comp += 1
             if work:
                 parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return comp
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+    return np.array(comp, dtype=np.int64)
 
 
 def scc_edge_mask(g: CSRGraph) -> tuple[np.ndarray, np.ndarray]:

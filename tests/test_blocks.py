@@ -42,7 +42,7 @@ def test_matches_brute_full_graph(seed, k, allow2):
             f"v={v} k={k} allow2={allow2}"
         if cyc is not None:
             check_cycle_valid(g, cyc, v, k, lo)
-        assert not ws.in_stack.any()
+        assert not any(ws.in_stack)
 
 
 @pytest.mark.parametrize("seed", range(10))

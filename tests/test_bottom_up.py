@@ -32,7 +32,7 @@ def test_feasible_on_random(seed, k, allow2):
 
 
 def test_find_cover_node_prefers_hit_times():
-    hits = np.array([0, 5, 2, 5])
+    hits = [0, 5, 2, 5]
     assert find_cover_node([0, 2, 1], hits) == 1
     # ties: first max wins (the paper initializes with the first vertex)
     assert find_cover_node([1, 3], hits) == 1

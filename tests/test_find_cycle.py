@@ -34,7 +34,7 @@ def test_matches_brute(seed, k, allow2):
         assert (cyc is not None) == vertex_on_cycle(g, v, lo, k)
         if cyc is not None:
             check_cycle_valid(g, cyc, v, k, lo)
-        assert not ws.in_stack.any()  # workspace restored
+        assert not any(ws.in_stack)  # workspace restored
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -74,7 +74,7 @@ def test_budget_abort_restores_workspace():
     with pytest.raises(OpBudgetExceeded):
         for v in range(g.n):
             find_cycle(g, v, 5, np.ones(g.n, bool), ws, OpBudget(50))
-    assert not ws.in_stack.any()
+    assert not any(ws.in_stack)
 
 
 def test_k_below_min_len():
