@@ -4,9 +4,9 @@ equivalent: the WIT analog, the largest small-tier graph)."""
 import pytest
 
 from repro.dist.pipeline import distributed_cover
+from repro.dist.verify import cover_witnesses
 from repro.graph.schema import graph_stats, normalize_edges
 from repro.graph.scc import scc
-from repro.graph.trim import trim
 from repro.synth_data import graph_edges
 
 DATASET = "WIT"
@@ -23,11 +23,15 @@ def test_stats_table2(benchmark, edges):
     assert st["n"] > 0
 
 
-def test_trim_phase(benchmark, spark, edges):
-    """The distributed verifier's trim (the cover pipeline runs none)."""
-    out = benchmark.pedantic(lambda: trim(edges).count(), rounds=2,
-                             iterations=1)
-    assert out >= 0
+def test_verify_phase(benchmark, spark, edges):
+    """The distributed verifier on the TDB++ cover: SCC, then the exact
+    feasibility and minimality checks per component."""
+    res = distributed_cover(spark, edges, 5, "tdb++")
+    cover = spark.createDataFrame([(int(v),) for v in res.cover], "v BIGINT")
+    out = benchmark.pedantic(
+        lambda: cover_witnesses(spark, edges, cover, 5).count(), rounds=2,
+        iterations=1)
+    assert out == 0
 
 
 def test_scc_phase(benchmark, spark, edges):

@@ -1,35 +1,24 @@
 """Shared spark-submit plumbing for the table jobs.
 
-Each job builds (or reuses) a local SparkSession configured like the test
-fixture — broadcast joins disabled so the shuffle paths are exercised —
-prints the table, and writes a CSV under ``results/``.
+Each job builds (or reuses) the local SparkSession of
+:mod:`repro.session`, the test fixture's config, prints the table, and
+writes a CSV under ``results/``.
 """
 from __future__ import annotations
 
-import os
 import sys
 from pathlib import Path
 
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from repro.session import spark_session
+
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 
 def get_spark(app: str) -> SparkSession:
-    os.environ.setdefault(
-        "PYSPARK_SUBMIT_ARGS",
-        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '24g')} "
-        "--conf spark.driver.host=127.0.0.1 "
-        "--conf spark.ui.enabled=false pyspark-shell",
-    )
-    s = (SparkSession.builder.appName(app)
-         .config("spark.sql.shuffle.partitions",
-                 os.environ.get("SPARK_SHUFFLE_PARTITIONS", "32"))
-         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-         .config("spark.sql.autoBroadcastJoinThreshold", -1)
-         .getOrCreate())
+    s = spark_session(app)
     s.sparkContext.setLogLevel("ERROR")
     return s
 

@@ -1,44 +1,98 @@
-"""Distributed cover verification.
+"""Distributed cover verification on the SCC split.
 
-Remove the cover with anti-joins, narrow with the bulk dataflow phases
-(trim + k-circuit filter — if nothing survives, the cover is proven
-feasible purely in Spark), and exactly check any survivors per component
-with the in-kernel sweep (survivors can still be false alarms: closed
-walks that are only 2-cycles, Fig. 4 style).
+No constrained cycle crosses an SCC boundary, and both of the paper's
+conditions are per cycle: a cover is feasible iff it hits every constrained
+cycle (Thm 1/4), and minimal iff every cover vertex has a private cycle, one
+that no other cover vertex hits (Thm 7). So every witness that refutes a
+cover lies inside one SCC of ``G``, and the check splits by component:
+
+1. :func:`repro.graph.scc.scc` on the normalized input (the pipeline's own
+   reduction; no other reduction runs here);
+2. the cover left-joined onto ``src`` as a ``covered`` flag: every vertex of
+   a non-trivial SCC is the source of an intra-SCC edge;
+3. one ``groupBy("comp").applyInPandas`` running the exact
+   :func:`~repro.core.verify.check_feasible` and
+   :func:`~repro.core.verify.check_minimal` on that component's CSR;
+4. every cover vertex in no non-trivial SCC, which lies on no cycle and so
+   is redundant (``comp`` NULL).
+
+Nothing is collected to the driver but the verdict.
 """
 from __future__ import annotations
+
+from functools import partial
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from ..core.verify import check_feasible
+from ..core.verify import check_feasible, check_minimal
 from ..graph.csr import CSRGraph
-from ..graph.khop import prefilter_edges
 from ..graph.schema import normalize_edges
-from ..graph.trim import trim
+from ..graph.scc import scc
+
+WITNESS_SCHEMA = "comp BIGINT, kind STRING, vertices ARRAY<BIGINT>"
+
+# Bound to None only so ``perfbench/spans.py``, which looks these names up
+# with ``getattr`` to wrap them, keeps working. Nothing calls them.
+trim = prefilter_edges = remove_cover = None
 
 
-def remove_cover(edges: DataFrame, cover: DataFrame) -> DataFrame:
-    """Drop every edge incident to a cover vertex (column ``v``)."""
-    return (edges
-            .join(cover.select(F.col("v").alias("src")), "src", "left_anti")
-            .join(cover.select(F.col("v").alias("dst")), "dst", "left_anti")
-            .select("src", "dst"))
+def _component_witnesses(pdf: pd.DataFrame, *, k: int,
+                         allow_two_cycles: bool) -> pd.DataFrame:
+    """One SCC's flagged edges → its witness rows (original labels)."""
+    comp = int(pdf["comp"].iloc[0])
+    g = CSRGraph.from_edges(pdf)
+    cover = pdf.loc[pdf["covered"], "src"].unique()
+    rows = []
+    ok, cycle = check_feasible(g, cover, k,
+                               allow_two_cycles=allow_two_cycles)
+    if not ok:
+        rows.append(("uncovered", g.to_labels(cycle).tolist()))
+    _, redundant = check_minimal(g, cover, k,
+                                 allow_two_cycles=allow_two_cycles)
+    rows += [("redundant", [v]) for v in redundant]
+    return pd.DataFrame({
+        "comp": pd.Series([comp] * len(rows), dtype="int64"),
+        "kind": pd.Series([kind for kind, _ in rows], dtype=object),
+        "vertices": pd.Series([vs for _, vs in rows], dtype=object)})
+
+
+def cover_witnesses(spark: SparkSession, edges: DataFrame, cover: DataFrame,
+                    k: int, *, allow_two_cycles: bool = False) -> DataFrame:
+    """Every refutation of ``cover`` (column ``v``) as a constrained-cycle
+    cover of ``edges``: ``(comp, kind, vertices)`` rows in original labels.
+
+    ``kind`` is ``"uncovered"`` (``vertices`` is one constrained cycle that
+    misses the cover; at most one per component) or ``"redundant"`` (one
+    cover vertex with no private cycle; ``comp`` is NULL when it lies in no
+    non-trivial SCC). No rows: the cover is feasible and minimal.
+    """
+    comp_edges = scc(spark, normalize_edges(edges)).localCheckpoint(eager=True)
+    cover = cover.select("v").distinct()
+    flagged = (comp_edges
+               .join(cover.select(F.col("v").alias("src"),
+                                  F.lit(True).alias("covered")),
+                     "src", "left")
+               .fillna(False, subset=["covered"]))
+    check = partial(_component_witnesses, k=k,
+                    allow_two_cycles=allow_two_cycles)
+    inside = flagged.groupBy("comp").applyInPandas(
+        lambda pdf: check(pdf), schema=WITNESS_SCHEMA)
+    outside = (cover
+               .join(comp_edges.select(F.col("src").alias("v")), "v",
+                     "left_anti")
+               .select(F.lit(None).cast("bigint").alias("comp"),
+                       F.lit("redundant").alias("kind"),
+                       F.array("v").alias("vertices")))
+    return inside.unionByName(outside)
 
 
 def distributed_check_cover(spark: SparkSession, edges: DataFrame,
                             cover: DataFrame, k: int, *,
                             allow_two_cycles: bool = False) -> bool:
     """True iff ``cover`` hits every constrained cycle of ``edges``."""
-    residual = trim(remove_cover(normalize_edges(edges), cover))
-    if residual.isEmpty():
-        return True
-    residual = trim(prefilter_edges(residual, k))
-    if residual.isEmpty():
-        return True
-    # Exact confirmation on the (small) survivor subgraph.
-    pdf = residual.toPandas()
-    g = CSRGraph.from_edges(pdf)
-    ok, _ = check_feasible(g, [], k, allow_two_cycles=allow_two_cycles)
-    return ok
+    return (cover_witnesses(spark, edges, cover, k,
+                            allow_two_cycles=allow_two_cycles)
+            .where(F.col("kind") == "uncovered")
+            .isEmpty())

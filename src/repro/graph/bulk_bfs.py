@@ -1,5 +1,4 @@
-"""Vectorized bulk k-hop reachability — the in-kernel twin of
-:mod:`repro.graph.khop`.
+"""Vectorized bulk k-hop reachability over a CSR graph.
 
 One numpy-vectorized BFS per root (frontier expansion via CSR gathers, no
 per-edge Python) computes, for every root ``v``, the set reachable within

@@ -1,7 +1,10 @@
 """Distributed SCC: weak components, then one grouped Tarjan pass.
 
 Constrained cycles never cross SCCs, so this is the partitioner that makes
-the cover problem embarrassingly parallel per component. Two steps:
+the cover problem embarrassingly parallel per component, and the one graph
+reduction: the cover pipeline (:func:`repro.dist.pipeline.prepare_graph`)
+and the distributed verifier (:mod:`repro.dist.verify`) both run it. Two
+steps:
 
 1. **Weak components** — min-label propagation over the edges in both
    directions, iterated with no cap until no vertex changes its label, so
@@ -17,7 +20,7 @@ the cover problem embarrassingly parallel per component. Two steps:
 The result is exact at any depth of SCC chain, in a number of Spark jobs
 bounded by the weak components' propagation depth. It also drops every
 vertex and edge that a trim would peel (they lie in no non-trivial SCC),
-so the pipeline runs no trim in front of it. One task holds one whole
+so no trim runs anywhere. One task holds one whole
 weak component, about the size of the cover kernel's own task for the
 largest SCC: with no trim in front, the largest weak component holds
 1.00–1.31x the edges of the largest SCC on the small registry analogs and

@@ -1,9 +1,9 @@
 """Table IV harness — TDB++ cover size with vs without 2-cycles, k = 5.
 
 Both modes run on the same raw kernel group (``single_group``): the
-kernel's intra-SCC reduction is valid for both, and no Spark trim
-runs (trim runs only in the distributed verifier). Only the
-kernel's ``allow_two_cycles`` flag changes.
+kernel's intra-SCC reduction is valid for both (a 2-cycle lies inside
+one SCC too), and no Spark reduction runs. Only the kernel's
+``allow_two_cycles`` flag changes.
 The paper's observation to reproduce: including 2-cycles blows the cover
 up ~3x on average, most on high-reciprocity graphs.
 """

@@ -2,15 +2,24 @@
 import pandas as pd
 import pytest
 
+from repro.core.verify import check_feasible, check_minimal
+from repro.dist.kernels import run_algorithm
 from repro.dist.pipeline import distributed_cover
-from repro.dist.verify import distributed_check_cover, remove_cover
+from repro.dist.verify import cover_witnesses, distributed_check_cover
+from repro.graph.csr import CSRGraph
 from repro.graph.schema import edges_df
 from repro.graphgen.models import uniform_digraph
 
 
 def cover_df(spark, vs):
-    return spark.createDataFrame([(int(v),) for v in vs] or [(-1,)],
-                                 "v BIGINT")
+    return spark.createDataFrame([(int(v),) for v in vs], "v BIGINT")
+
+
+def witness_rows(spark, pdf, cover, k, **kw):
+    wit = cover_witnesses(spark, edges_df(spark, pdf), cover_df(spark, cover),
+                          k, **kw)
+    return sorted(((r.comp, r.kind, tuple(r.vertices)) for r in wit.collect()),
+                  key=repr)
 
 
 def test_accepts_valid_cover(spark):
@@ -37,8 +46,59 @@ def test_two_cycle_residue_not_a_violation(spark):
                                        allow_two_cycles=True)
 
 
-def test_remove_cover(spark):
-    pdf = pd.DataFrame([(0, 1), (1, 2), (2, 0)], columns=["src", "dst"])
-    e = edges_df(spark, pdf)
-    left = remove_cover(e, cover_df(spark, [1])).toPandas()
-    assert {tuple(r) for r in left.to_numpy()} == {(2, 0)}
+def test_planted_witnesses(spark):
+    # SCC {0,1,2}: one uncovered 3-cycle. SCC {10..14}: two 3-cycles
+    # through 10, so 10 covers both and 11 is redundant. 20 hangs off the
+    # first SCC on a tail edge: it is in no SCC, so redundant too.
+    rows = [(0, 1), (1, 2), (2, 0),
+            (10, 11), (11, 12), (12, 10), (10, 13), (13, 14), (14, 10),
+            (2, 10), (2, 20)]
+    pdf = pd.DataFrame(rows, columns=["src", "dst"])
+    assert witness_rows(spark, pdf, [10, 11, 20], 4) == sorted([
+        (2, "uncovered", (0, 1, 2)),
+        (14, "redundant", (11,)),
+        (None, "redundant", (20,)),
+    ], key=repr)
+    assert not distributed_check_cover(spark, edges_df(spark, pdf),
+                                       cover_df(spark, [10, 11, 20]), 4)
+
+
+def test_empty_cover_on_acyclic_graph(spark):
+    pdf = pd.DataFrame([(0, 1), (1, 2), (0, 2), (2, 3), (4, 3)],
+                       columns=["src", "dst"])
+    assert witness_rows(spark, pdf, [], 5) == []
+
+
+def multi_scc(seed):
+    """Three random digraphs on disjoint ids, joined one way by bridge
+    edges (so each keeps its own SCCs), plus a tail edge out of the last."""
+    parts, base = [], 0
+    for i in range(3):
+        pdf = uniform_digraph(12, 30, reciprocity=0.4, seed=3 * seed + i)
+        parts.append(pdf + base)
+        base += 100
+    bridges = [(0, 100), (100, 200), (205, 300)]
+    parts.append(pd.DataFrame(bridges, columns=["src", "dst"]))
+    return pd.concat(parts, ignore_index=True)
+
+
+@pytest.mark.parametrize("allow_two_cycles", [False, True])
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("seed", range(2))
+def test_agrees_with_driver_checks(spark, seed, k, allow_two_cycles):
+    pdf = multi_scc(seed)
+    g = CSRGraph.from_edges(pdf)
+    cover = sorted(int(v) for v in run_algorithm(
+        g, "tdb++", k, allow_two_cycles=allow_two_cycles).cover)
+    assert cover, "the graph should have a constrained cycle"
+    extra = next(int(v) for v in g.vertex_ids if int(v) not in cover)
+    for cov in (cover, cover[1:], cover + [extra]):
+        rows = witness_rows(spark, pdf, cov, k,
+                            allow_two_cycles=allow_two_cycles)
+        feasible, _ = check_feasible(g, cov, k,
+                                     allow_two_cycles=allow_two_cycles)
+        _, redundant = check_minimal(g, cov, k,
+                                     allow_two_cycles=allow_two_cycles)
+        assert any(kind == "uncovered" for _, kind, _ in rows) != feasible
+        assert sorted(vs[0] for _, kind, vs in rows
+                      if kind == "redundant") == sorted(redundant)
