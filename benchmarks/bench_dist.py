@@ -24,8 +24,8 @@ def test_stats_table2(benchmark, edges):
 
 
 def test_verify_phase(benchmark, spark, edges):
-    """The distributed verifier on the TDB++ cover: SCC, then the exact
-    feasibility and minimality checks per component."""
+    """The distributed verifier on the TDB++ cover: the weak split, then
+    the exact feasibility and minimality checks per component."""
     res = distributed_cover(spark, edges, 5, "tdb++")
     cover = spark.createDataFrame([(int(v),) for v in res.cover], "v BIGINT")
     out = benchmark.pedantic(
@@ -35,7 +35,8 @@ def test_verify_phase(benchmark, spark, edges):
 
 
 def test_scc_phase(benchmark, spark, edges):
-    """SCC on the normalized graph, as ``prepare_graph`` feeds it."""
+    """The weak split (``scc``) on the normalized graph, as
+    ``prepare_graph`` feeds it."""
     e = normalize_edges(edges).localCheckpoint(eager=True)
     out = benchmark.pedantic(
         lambda: scc(spark, e).count(), rounds=2,

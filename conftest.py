@@ -16,11 +16,9 @@ def spark():
     from repro.session import spark_session
 
     s = spark_session("repro")
-    # One stderr line that tells whether the driver-memory rule saw the
-    # container's cgroup limit.
+    # One stderr line with the session's resources.
     print(
         f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
-        f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "
         f"master={s.sparkContext.master} "
         f"defaultParallelism={s.sparkContext.defaultParallelism}",
         file=sys.stderr,

@@ -261,14 +261,14 @@ class _LineGraphDARC:
 
 
 def darc_dv(g: CSRGraph, k: int, *, allow_two_cycles: bool = False,
-            budget: OpBudget | None = None, blocked: bool = True,
-            vertex_prune: bool = True) -> CoverResult:
+            budget: OpBudget | None = None,
+            blocked: bool = True) -> CoverResult:
     """Run DARC-DV on ``g``; returns the vertex cover in original labels.
 
     ``blocked=False`` disables the block pruning inside the cycle
     searches (plain-DFS reference; must return the identical cover).
 
-    ``vertex_prune``: DARC's PRUNE is minimal at the *G'-edge* level, but
+    Vertex cleanup: DARC's PRUNE is minimal at the *G'-edge* level, but
     the projection to shared vertices keeps a vertex whenever *any* of
     its pairs survived — grossly redundant at the vertex level (the
     paper's "the edge set could be converted to the vertex result set"
@@ -289,7 +289,7 @@ def darc_dv(g: CSRGraph, k: int, *, allow_two_cycles: bool = False,
         finished = False
     local = state.cover_vertices_local()
     projected = len(local)
-    if vertex_prune and finished:
+    if finished:
         try:
             local = np.asarray(
                 find_minimal_cover(g, k, [int(v) for v in local],

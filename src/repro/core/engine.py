@@ -49,9 +49,6 @@ class OpBudget:
         if self.limit is not None and self.spent >= self.limit:
             raise OpBudgetExceeded(self.spent, self.limit)
 
-    def remaining(self) -> float:
-        return float("inf") if self.limit is None else self.limit - self.spent
-
 
 class Workspace:
     """Reusable stamped scratch lists for the search kernels.

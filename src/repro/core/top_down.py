@@ -26,9 +26,10 @@ sets generated by all three methods are identical") — asserted in tests.
 Every kept vertex has a witness cycle among vertices that are never put in
 the cover afterwards, so the result is minimal by construction (Thm 7).
 
-Vertex order is a parameter; the default ``"degree"`` (ascending total
-degree — hubs decided last, hence retained) yields small covers comparable
-to BUR+, matching the paper's Table III relationship.
+The vertex order is ascending total degree, ties by local id (hubs are
+decided last, hence retained): it yields small covers comparable to BUR+,
+matching the paper's Table III relationship. Any order gives a feasible,
+minimal cover; the tests check that by relabelling the input.
 """
 from __future__ import annotations
 
@@ -45,21 +46,15 @@ from .result import CoverResult
 TECHNIQUES = ("tdb", "tdb+", "tdb++")
 
 
-def vertex_order(g: CSRGraph, order: str) -> np.ndarray:
-    """Processing order for Algorithm 8's main loop."""
-    if order == "id":
-        return np.arange(g.n)
-    if order == "degree":
-        return np.argsort(g.total_degrees(), kind="stable")
-    if order == "degree_desc":
-        return np.argsort(-g.total_degrees(), kind="stable")
-    raise ValueError(f"unknown order {order!r}")
+def vertex_order(g: CSRGraph) -> np.ndarray:
+    """Processing order for Algorithm 8's main loop: ascending total
+    degree, stable."""
+    return np.argsort(g.total_degrees(), kind="stable")
 
 
 def top_down(g: CSRGraph, k: int | None, *, technique: str = "tdb++",
-             order: str = "degree", allow_two_cycles: bool = False,
-             budget: OpBudget | None = None,
-             ws: Workspace | None = None) -> CoverResult:
+             allow_two_cycles: bool = False,
+             budget: OpBudget | None = None) -> CoverResult:
     """Run the top-down algorithm; returns cover in original labels.
 
     ``k=None`` runs the unconstrained variant (tdb+/tdb++ only use the
@@ -72,7 +67,7 @@ def top_down(g: CSRGraph, k: int | None, *, technique: str = "tdb++",
                          "technique (tdb+ or tdb++): plain DFS does not "
                          "terminate usefully without a hop bound")
     budget = budget or OpBudget()
-    ws = ws or Workspace(g.n)
+    ws = Workspace(g.n)
     accepted = [False] * g.n  # vertices whose edges are in G0
     cover: list[int] = []
     t0 = time.perf_counter()
@@ -80,7 +75,7 @@ def top_down(g: CSRGraph, k: int | None, *, technique: str = "tdb++",
     use_filter = technique == "tdb++" and k is not None
     use_blocks = technique in ("tdb+", "tdb++")
     try:
-        for v in vertex_order(g, order).tolist():
+        for v in vertex_order(g).tolist():
             if use_filter and not bfs_filter(g, v, k, accepted, ws, budget):
                 accepted[v] = True  # no closed walk <= k: provably safe
                 continue
@@ -98,5 +93,4 @@ def top_down(g: CSRGraph, k: int | None, *, technique: str = "tdb++",
         algorithm=name, k=k, cover=g.to_labels(cover),
         seconds=time.perf_counter() - t0, ops=budget.spent,
         allow_two_cycles=allow_two_cycles, finished=finished,
-        extra={"order": order},
     )

@@ -21,11 +21,11 @@ from ..core.minimal import bur_plus
 from ..core.top_down import top_down
 from ..graph.csr import CSRGraph
 from ..graph.tarjan import scc_edge_mask
-# Not called here; still importable so ``perfbench/spans.py``, which wraps
-# ``kernels.nontrivial_scc_mask`` and ``kernels.restrict_to_short_walk_edges``
-# by name, keeps working.
-from ..graph.bulk_bfs import restrict_to_short_walk_edges  # noqa: F401
+# Neither is called here. ``perfbench/spans.py`` looks both names up with
+# ``getattr`` to wrap them, so one stays imported and the other is bound to
+# None (its module is deleted).
 from ..graph.tarjan import nontrivial_scc_mask  # noqa: F401
+restrict_to_short_walk_edges = None
 
 KERNEL_SCHEMA = ("vertex BIGINT, comp BIGINT, seconds DOUBLE, ops BIGINT, "
                  "finished BOOLEAN")
@@ -57,16 +57,17 @@ def intra_scc_graph(g: CSRGraph) -> CSRGraph:
     """The TDB kernels' graph: the edges of ``g`` inside one SCC (``g``
     itself if that is every edge).
 
-    This is the rule :func:`repro.graph.scc.scc` applies in Spark, so a raw
-    ``single_group`` frame and ``prepare_graph``'s per-SCC frames give the
-    kernels the same graph, and with it the same cover and op count. Any
-    upstream deletion that keeps every intra-SCC edge (trim, the SCC split)
-    leaves the result unchanged. A k-aware deletion (a k-hop prefilter, a
-    short-walk restrict) does not: it removes intra-SCC edges, which moves
-    the degree order and so the cover. No such deletion runs upstream of
-    the kernels, and none may without giving up that equality.
+    This is the only Tarjan pass on the cover path. The TDB degree order
+    is taken on this graph, so within each SCC it is the same whether
+    ``g`` is a raw ``single_group`` frame or one of ``prepare_graph``'s
+    weak components, and so are the cover and the op count. Any upstream
+    deletion that keeps every intra-SCC edge leaves the result unchanged.
+    A k-aware deletion (a k-hop prefilter, a short-walk restrict) does
+    not: it removes intra-SCC edges, which moves the degree order and so
+    the cover. No such deletion runs upstream of the kernels, and none may
+    without giving up that equality.
     """
-    _, inside = scc_edge_mask(g)
+    inside = scc_edge_mask(g)
     if inside.all():
         return g
     return CSRGraph.from_edges(g.vertex_ids[g.edge_array()[inside]])

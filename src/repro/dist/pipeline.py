@@ -1,20 +1,19 @@
 """The distributed cover pipeline (DESIGN.md §3).
 
-``prepare_graph``   normalize → SCC. Iterative DataFrame dataflow for the
-                    weak components plus one grouped Tarjan pass per weak
-                    component (:mod:`repro.graph.scc`), which emits the
-                    intra-SCC edges directly. This is the one graph
-                    reduction: every edge a trim would peel lies between
-                    SCCs, so the split drops it, and the distributed
-                    verifier (:mod:`repro.dist.verify`) runs the same
-                    split. No k-aware reduction runs: each TDB kernel
-                    keeps the edges inside one SCC
-                    (:func:`~repro.dist.kernels.intra_scc_graph`, the same
-                    rule), so its cover and ops are the same as on the raw
-                    graph as one group. The output ``(comp, src, dst)``
-                    frame is checkpointed so the expensive shared phases
-                    run once per dataset and every algorithm is then
-                    measured on identical partitioned input.
+``prepare_graph``   normalize → weak split. Iterative DataFrame dataflow
+                    for the weak components plus one join that labels
+                    every edge with its weak component
+                    (:mod:`repro.graph.scc`); the distributed verifier
+                    (:mod:`repro.dist.verify`) runs the same split. No
+                    edge is dropped and no k-aware reduction runs: each
+                    TDB kernel keeps the edges inside one SCC
+                    (:func:`~repro.dist.kernels.intra_scc_graph`), and
+                    every search of every algorithm stays inside its weak
+                    component, so each algorithm's cover and ops are the
+                    same as on the raw graph as one group. The output
+                    ``(comp, src, dst)`` frame is checkpointed so the
+                    shared phases run once per dataset and every algorithm
+                    is then measured on identical partitioned input.
 
 ``run_cover``       groups the prepared frame by component and runs the
                     chosen sequential kernel per component in parallel
@@ -66,9 +65,8 @@ def prepare_graph(spark: SparkSession, edges: DataFrame, k: int
                   ) -> tuple[DataFrame, dict]:
     """Shared distributed phases; returns ``(comp_edges, info)``.
 
-    ``comp_edges`` has columns ``comp, src, dst`` — only intra-component
-    edges survive (cross-SCC edges are on no cycle). No phase here uses
-    ``k``.
+    ``comp_edges`` has columns ``comp, src, dst``: every normalized edge,
+    labelled by its weak component. No phase here uses ``k``.
     """
     info: dict = {}
     t0 = time.perf_counter()

@@ -1,20 +1,22 @@
-"""Distributed cover verification on the SCC split.
+"""Distributed cover verification on the weak split.
 
-No constrained cycle crosses an SCC boundary, and both of the paper's
-conditions are per cycle: a cover is feasible iff it hits every constrained
-cycle (Thm 1/4), and minimal iff every cover vertex has a private cycle, one
-that no other cover vertex hits (Thm 7). So every witness that refutes a
-cover lies inside one SCC of ``G``, and the check splits by component:
+No constrained cycle crosses a weak-component boundary, and both of the
+paper's conditions are per cycle: a cover is feasible iff it hits every
+constrained cycle (Thm 1/4), and minimal iff every cover vertex has a
+private cycle, one that no other cover vertex hits (Thm 7). So every
+witness that refutes a cover lies inside one weak component of ``G``, and
+the check splits by component:
 
 1. :func:`repro.graph.scc.scc` on the normalized input (the pipeline's own
-   reduction; no other reduction runs here);
-2. the cover left-joined onto ``src`` as a ``covered`` flag: every vertex of
-   a non-trivial SCC is the source of an intra-SCC edge;
+   split; no other reduction runs here);
+2. the cover left-joined onto ``src`` as a ``covered`` flag: every vertex
+   on a cycle is the source of an edge of its component;
 3. one ``groupBy("comp").applyInPandas`` running the exact
-   :func:`~repro.core.verify.check_feasible` and
-   :func:`~repro.core.verify.check_minimal` on that component's CSR;
-4. every cover vertex in no non-trivial SCC, which lies on no cycle and so
-   is redundant (``comp`` NULL).
+   :func:`~repro.core.verify.check_feasible` (which narrows to the
+   non-trivial SCCs itself) and :func:`~repro.core.verify.check_minimal`
+   on that component's CSR;
+4. every cover vertex that is the source of no edge, which lies on no
+   cycle and so is redundant (``comp`` NULL).
 
 Nothing is collected to the driver but the verdict.
 """
@@ -40,7 +42,8 @@ trim = prefilter_edges = remove_cover = None
 
 def _component_witnesses(pdf: pd.DataFrame, *, k: int,
                          allow_two_cycles: bool) -> pd.DataFrame:
-    """One SCC's flagged edges → its witness rows (original labels)."""
+    """One weak component's flagged edges → its witness rows (original
+    labels)."""
     comp = int(pdf["comp"].iloc[0])
     g = CSRGraph.from_edges(pdf)
     cover = pdf.loc[pdf["covered"], "src"].unique()
@@ -65,8 +68,8 @@ def cover_witnesses(spark: SparkSession, edges: DataFrame, cover: DataFrame,
 
     ``kind`` is ``"uncovered"`` (``vertices`` is one constrained cycle that
     misses the cover; at most one per component) or ``"redundant"`` (one
-    cover vertex with no private cycle; ``comp`` is NULL when it lies in no
-    non-trivial SCC). No rows: the cover is feasible and minimal.
+    cover vertex with no private cycle; ``comp`` is NULL when it is the
+    source of no edge). No rows: the cover is feasible and minimal.
     """
     comp_edges = scc(spark, normalize_edges(edges)).localCheckpoint(eager=True)
     cover = cover.select("v").distinct()

@@ -2,10 +2,10 @@
 
 Constrained cycles never cross SCC boundaries, so the edges inside one SCC
 are the whole cover problem. :func:`scc_edge_mask` is that one graph
-reduction, used (a) per weak component inside the distributed SCC of
-:mod:`repro.graph.scc` and (b) by the TDB kernels on their component
+reduction, which the TDB kernels apply to their weak component
 (:func:`repro.dist.kernels.intra_scc_graph`). :func:`tarjan_scc` on the
-whole graph is also the reference for the distributed SCC's tests.
+whole graph is also the reference that the tests hold the distributed
+weak split (:mod:`repro.graph.scc`) against.
 """
 from __future__ import annotations
 
@@ -78,13 +78,12 @@ def tarjan_scc(g: CSRGraph, mask: np.ndarray | None = None) -> np.ndarray:
     return np.array(comp, dtype=np.int64)
 
 
-def scc_edge_mask(g: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
-    """``(comp, inside)``: the SCC labels of :func:`tarjan_scc` and a mask
-    over ``g.edge_array()`` that is True for the edges whose ends share an
-    SCC. Every other edge lies on no cycle."""
+def scc_edge_mask(g: CSRGraph) -> np.ndarray:
+    """A mask over ``g.edge_array()`` that is True for the edges whose ends
+    share an SCC. Every other edge lies on no cycle."""
     comp = tarjan_scc(g)
     src, dst = g.edge_array().T
-    return comp, comp[src] == comp[dst]
+    return comp[src] == comp[dst]
 
 
 def nontrivial_scc_mask(g: CSRGraph, mask: np.ndarray | None = None,

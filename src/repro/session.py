@@ -18,34 +18,18 @@ SHUFFLE_PARTITIONS = 32
 
 
 def driver_memory() -> str:
-    """~75% of the container's memory limit, for the Spark driver JVM.
-
-    Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. The cgroup read is best-effort: a sandboxed
-    sysfs may not pass the host limit through. An unbounded value
-    (cgroup-v1's ~9.2e18 "unlimited" sentinel, or a missing limit) is
-    treated as absent so the JVM is never handed an impossible heap.
-    ``_SPARK_DRIVER_MEM_SRC`` records where the value came from.
-    """
+    """The Spark driver heap: ``SPARK_DRIVER_MEM`` if set, else half of
+    the machine's ``MemTotal`` (``/proc/meminfo``) clamped to 2–8g, the
+    same rule as the tier-1 test command; 2g if it cannot be read."""
     if m := os.environ.get("SPARK_DRIVER_MEM"):
         return m
-    for p in (
-        "/sys/fs/cgroup/memory.max",
-        "/sys/fs/cgroup/memory/memory.limit_in_bytes",
-    ):
-        try:
-            raw = open(p).read().strip()
-            if not raw or raw == "max":
-                continue
-            gib = int(raw) / (1 << 30)
-            if not (1 <= gib <= 1024):  # v1 "unlimited" → ~8.6e9 GiB
-                continue
-            os.environ["_SPARK_DRIVER_MEM_SRC"] = f"cgroup:{p}={raw}"
-            return f"{max(1, int(gib * 0.75))}g"
-        except (OSError, ValueError):
-            continue
-    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+    try:
+        with open("/proc/meminfo") as f:
+            kib = next(int(line.split()[1]) for line in f
+                       if line.startswith("MemTotal:"))
+    except (OSError, StopIteration, ValueError):
+        return "2g"
+    return f"{min(8, max(2, kib // (2 << 20)))}g"
 
 
 def spark_session(app: str) -> SparkSession:
@@ -59,9 +43,7 @@ def spark_session(app: str) -> SparkSession:
         "--conf spark.ui.enabled=false pyspark-shell",
     )
     return (SparkSession.builder.appName(app)
-            .config("spark.sql.shuffle.partitions",
-                    os.environ.get("SPARK_SHUFFLE_PARTITIONS",
-                                   str(SHUFFLE_PARTITIONS)))
+            .config("spark.sql.shuffle.partitions", SHUFFLE_PARTITIONS)
             .config("spark.sql.execution.arrow.pyspark.enabled", "true")
             .config("spark.sql.autoBroadcastJoinThreshold", -1)
             .getOrCreate())

@@ -10,12 +10,12 @@ Measurement protocol (mirrors the paper's):
   symmetrically for all algorithms).
 * **large tier** — the baselines still get the raw graph and exhaust
   their op budget (the paper's "-"); TDB++ runs the full distributed
-  pipeline (SCC in Spark, per-component kernels in parallel) and reports
-  prep + kernel seconds.
+  pipeline (weak split in Spark, per-component kernels in parallel) and
+  reports prep + kernel seconds.
 
 At every tier the TDB++ cover is verified feasible and minimal before a
 row is emitted: :func:`~repro.dist.verify.cover_witnesses` runs the exact
-checks per SCC in Spark and must return no witness.
+checks per weak component in Spark and must return no witness.
 """
 from __future__ import annotations
 

@@ -47,16 +47,17 @@ def test_two_cycle_residue_not_a_violation(spark):
 
 
 def test_planted_witnesses(spark):
-    # SCC {0,1,2}: one uncovered 3-cycle. SCC {10..14}: two 3-cycles
-    # through 10, so 10 covers both and 11 is redundant. 20 hangs off the
-    # first SCC on a tail edge: it is in no SCC, so redundant too.
+    # One weak component, labelled 0. SCC {0,1,2}: one uncovered 3-cycle.
+    # SCC {10..14}: two 3-cycles through 10, so 10 covers both and 11 is
+    # redundant. 20 hangs off the first SCC on a tail edge: it is the
+    # source of no edge, so redundant too, with no component.
     rows = [(0, 1), (1, 2), (2, 0),
             (10, 11), (11, 12), (12, 10), (10, 13), (13, 14), (14, 10),
             (2, 10), (2, 20)]
     pdf = pd.DataFrame(rows, columns=["src", "dst"])
     assert witness_rows(spark, pdf, [10, 11, 20], 4) == sorted([
-        (2, "uncovered", (0, 1, 2)),
-        (14, "redundant", (11,)),
+        (0, "uncovered", (0, 1, 2)),
+        (0, "redundant", (11,)),
         (None, "redundant", (20,)),
     ], key=repr)
     assert not distributed_check_cover(spark, edges_df(spark, pdf),

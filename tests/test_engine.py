@@ -8,7 +8,6 @@ def test_unlimited_budget_never_raises():
     b = OpBudget(None)
     b.spend(10**9)
     assert b.spent == 10**9
-    assert b.remaining() == float("inf")
 
 
 def test_budget_raises_at_limit():
@@ -18,12 +17,6 @@ def test_budget_raises_at_limit():
         b.spend(5)
     assert e.value.spent == 14
     assert e.value.limit == 10
-
-
-def test_budget_remaining():
-    b = OpBudget(100)
-    b.spend(30)
-    assert b.remaining() == 70
 
 
 def test_workspace_epochs_distinct():

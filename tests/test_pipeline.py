@@ -5,14 +5,15 @@ import pytest
 
 from repro.core.top_down import top_down
 from repro.core.verify import check_feasible, check_minimal
-from repro.dist.kernels import intra_scc_graph
+from repro.dist.kernels import ALGORITHMS, intra_scc_graph
 from repro.dist.pipeline import (distributed_cover, prepare_graph,
                                  run_cover, single_group)
 from repro.graph.csr import CSRGraph
 from repro.graph.schema import edges_df
+from repro.graph.tarjan import tarjan_scc
 from repro.graphgen.models import powerlaw_digraph, uniform_digraph
 
-from .test_scc import periphery_heavy, tarjan_scc_edges
+from .test_scc import periphery_heavy, weak_reference
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -54,13 +55,18 @@ MULTI_SCC_INPUTS = {
 
 @pytest.mark.parametrize("name", sorted(MULTI_SCC_INPUTS))
 def test_cover_and_ops_independent_of_mode(spark, name):
-    """The TDB kernels keep the intra-SCC edges, the same rule as the SCC
-    split, so the shared Spark phases change neither the cover nor the op
-    count: one raw group and the per-SCC pipeline must agree exactly."""
-    e = edges_df(spark, MULTI_SCC_INPUTS[name]())
-    comp_edges, info = prepare_graph(spark, e, 4)
-    assert info["n_components"] >= 2
-    for algo in ("tdb", "tdb+", "tdb++"):
+    """Every search stays inside its weak component and the TDB kernels
+    take their degree order on the intra-SCC edges, so the shared Spark
+    phases change neither the cover nor the op count of any algorithm:
+    one raw group and the per-component pipeline must agree exactly."""
+    pdf = MULTI_SCC_INPUTS[name]()
+    g = CSRGraph.from_edges(pdf)
+    comp = tarjan_scc(g)
+    src, dst = g.edge_array().T
+    assert len(np.unique(comp[src[comp[src] == comp[dst]]])) >= 2
+    e = edges_df(spark, pdf)
+    comp_edges, _ = prepare_graph(spark, e, 4)
+    for algo in ALGORITHMS:
         raw = run_cover(single_group(e), algo, 4)
         piped = run_cover(comp_edges, algo, 4)
         assert raw.finished and piped.finished
@@ -72,35 +78,35 @@ def test_prepare_graph_info(spark):
     pdf = powerlaw_digraph(60, 240, reciprocity=0.3, seed=5)
     comp_edges, info = prepare_graph(spark, edges_df(spark, pdf), 5)
     assert set(comp_edges.columns) == {"comp", "src", "dst"}
-    ref = tarjan_scc_edges(pdf)
+    ref = weak_reference(pdf)
     assert info["m_input"] == len(pdf)
-    assert info["m_partitioned"] == len(ref)
+    assert info["m_partitioned"] == len(ref) == len(pdf)
     assert info["n_components"] == len({c for c, _, _ in ref})
     assert {tuple(r) for r in comp_edges.collect()} == ref
     assert info["prep_seconds"] > 0
 
 
 def test_multi_component_graphs_solved_per_component(spark):
-    # two disjoint triangles + noise chain
+    # two disjoint triangles + noise chain: three weak components
     pdf = pd.DataFrame([(0, 1), (1, 2), (2, 0),
                         (10, 11), (11, 12), (12, 10),
                         (20, 21), (21, 22)], columns=["src", "dst"])
     comp_edges, info = prepare_graph(spark, edges_df(spark, pdf), 3)
-    assert info["n_components"] == 2
+    assert info["n_components"] == 3
     res = run_cover(comp_edges, "tdb++", 3)
     cov = res.cover_set()
     assert len(cov & {0, 1, 2}) == 1
     assert len(cov & {10, 11, 12}) == 1
     assert len(cov) == 2
-    assert res.extra["n_components"] == 2
-    # two triangles joined by a one-way bridge: one weak component, two
-    # SCCs; the bridge lies on no cycle and is cut
+    assert res.extra["n_components"] == 3
+    # two triangles joined by a one-way bridge: two SCCs in one weak
+    # component; the bridge lies on no cycle but stays in the group
     comp_edges, info = prepare_graph(
         spark, edges_df(spark, BRIDGED_TRIANGLES), 3)
-    assert info["n_components"] == 2
+    assert info["n_components"] == 1
     kept = {(r.src, r.dst) for r in comp_edges.collect()}
-    assert (2, 10) not in kept
-    assert len(kept) == 6
+    assert (2, 10) in kept
+    assert len(kept) == 7
 
 
 def test_single_group_wraps_raw(spark):

@@ -41,24 +41,24 @@ def test_techniques_identical_covers(seed, k, allow2):
     assert covers["tdb"] == covers["tdb+"] == covers["tdb++"]
 
 
-@pytest.mark.parametrize("order", ["id", "degree", "degree_desc"])
-def test_any_order_is_feasible_and_minimal(order):
-    g = CSRGraph.from_edges(uniform_digraph(15, 50, reciprocity=0.3,
-                                            seed=7))
-    res = top_down(g, 5, order=order)
+@pytest.mark.parametrize("seed", range(3))
+def test_any_order_is_feasible_and_minimal(seed):
+    """Relabelling the input reorders the degree ties, so each seed visits
+    the vertices in another order; every order gives a feasible, minimal
+    cover."""
+    edges = uniform_digraph(15, 50, reciprocity=0.3, seed=7).to_numpy()
+    perm = np.random.default_rng(seed).permutation(int(edges.max()) + 1)
+    g = CSRGraph.from_edges(perm[edges])
+    res = top_down(g, 5)
     assert check_feasible(g, res.cover, 5)[0]
     assert check_minimal(g, res.cover, 5)[0]
 
 
-def test_vertex_order_variants():
+def test_vertex_order_ascending_degree_stable():
+    # a triangle with both directions (total degree 4 each) and 3 -> 0
     g = CSRGraph.from_edges(np.array([[0, 1], [1, 0], [1, 2], [2, 1],
-                                      [2, 0], [0, 2]]))
-    assert sorted(vertex_order(g, "id").tolist()) == [0, 1, 2]
-    degs = g.total_degrees()
-    asc = vertex_order(g, "degree")
-    assert (np.diff(degs[asc]) >= 0).all()
-    with pytest.raises(ValueError):
-        vertex_order(g, "nope")
+                                      [2, 0], [0, 2], [3, 0]]))
+    assert vertex_order(g).tolist() == [3, 1, 2, 0]
 
 
 def test_unconstrained_requires_blocks():
