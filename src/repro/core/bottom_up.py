@@ -28,11 +28,10 @@ def find_cover_node(cycle: list[int], hits: list[int]) -> int:
 
 
 def bottom_up(g: CSRGraph, k: int, *, allow_two_cycles: bool = False,
-              budget: OpBudget | None = None,
-              ws: Workspace | None = None) -> CoverResult:
+              budget: OpBudget | None = None) -> CoverResult:
     """Run BUR on ``g``; returns cover in original vertex labels."""
     budget = budget or OpBudget()
-    ws = ws or Workspace(g.n)
+    ws = Workspace(g.n)
     hits = [0] * g.n
     alive = [True] * g.n
     cover: list[int] = []

@@ -29,6 +29,7 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from .engine import OpBudget, OpBudgetExceeded
+from .minimal import find_minimal_cover
 from .result import CoverResult
 
 
@@ -277,8 +278,6 @@ def darc_dv(g: CSRGraph, k: int, *, allow_two_cycles: bool = False,
     cleanup is one Algorithm-7 pass over the projected set; the raw
     projected size is kept in ``extra["projected_size"]``.
     """
-    from .minimal import find_minimal_cover  # local import: avoid cycle
-
     budget = budget or OpBudget()
     t0 = time.perf_counter()
     state = _LineGraphDARC(g, k, budget, allow_two_cycles, blocked=blocked)

@@ -19,11 +19,10 @@ from .result import CoverResult
 
 def find_minimal_cover(g: CSRGraph, k: int, cover_local: list[int], *,
                        allow_two_cycles: bool = False,
-                       budget: OpBudget | None = None,
-                       ws: Workspace | None = None) -> list[int]:
+                       budget: OpBudget | None = None) -> list[int]:
     """Prune ``cover_local`` (CSR-local ids) to a minimal cover of ``g``."""
     budget = budget or OpBudget()
-    ws = ws or Workspace(g.n)
+    ws = Workspace(g.n)
     alive = [True] * g.n
     for v in cover_local:
         alive[v] = False
@@ -41,14 +40,11 @@ def find_minimal_cover(g: CSRGraph, k: int, cover_local: list[int], *,
 
 
 def bur_plus(g: CSRGraph, k: int, *, allow_two_cycles: bool = False,
-             budget: OpBudget | None = None,
-             ws: Workspace | None = None) -> CoverResult:
+             budget: OpBudget | None = None) -> CoverResult:
     """BUR+ = BUR followed by minimal pruning."""
     budget = budget or OpBudget()
-    ws = ws or Workspace(g.n)
     t0 = time.perf_counter()
-    base = bottom_up(g, k, allow_two_cycles=allow_two_cycles, budget=budget,
-                     ws=ws)
+    base = bottom_up(g, k, allow_two_cycles=allow_two_cycles, budget=budget)
     if not base.finished:
         return CoverResult(
             algorithm="BUR+", k=k, cover=base.cover, seconds=base.seconds,
@@ -61,7 +57,7 @@ def bur_plus(g: CSRGraph, k: int, *, allow_two_cycles: bool = False,
     try:
         kept = find_minimal_cover(g, k, base_local,
                                   allow_two_cycles=allow_two_cycles,
-                                  budget=budget, ws=ws)
+                                  budget=budget)
     except OpBudgetExceeded:
         kept = base_local
         finished = False

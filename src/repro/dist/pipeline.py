@@ -4,7 +4,7 @@
                     for the weak components plus one join that labels
                     every edge with its weak component
                     (:mod:`repro.graph.scc`); the distributed verifier
-                    (:mod:`repro.dist.verify`) runs the same split. No
+                    (:mod:`repro.dist.verify`) checks this frame. No
                     edge is dropped and no k-aware reduction runs: each
                     TDB kernel keeps the edges inside one SCC
                     (:func:`~repro.dist.kernels.intra_scc_graph`), and

@@ -1,4 +1,4 @@
-"""Distributed cover verification on the weak split.
+"""Distributed cover verification on the pipeline's weak split.
 
 No constrained cycle crosses a weak-component boundary, and both of the
 paper's conditions are per cycle: a cover is feasible iff it hits every
@@ -7,8 +7,10 @@ private cycle, one that no other cover vertex hits (Thm 7). So every
 witness that refutes a cover lies inside one weak component of ``G``, and
 the check splits by component:
 
-1. :func:`repro.graph.scc.scc` on the normalized input (the pipeline's own
-   split; no other reduction runs here);
+1. the cover pipeline's own ``(comp, src, dst)`` frame from
+   :func:`repro.dist.pipeline.prepare_graph`, checked as it is (no split
+   runs here; it is sound because that split is exact, as
+   ``tests/test_scc.py`` pins);
 2. the cover left-joined onto ``src`` as a ``covered`` flag: every vertex
    on a cycle is the source of an edge of its component;
 3. one ``groupBy("comp").applyInPandas`` running the exact
@@ -30,14 +32,13 @@ from pyspark.sql import functions as F
 
 from ..core.verify import check_feasible, check_minimal
 from ..graph.csr import CSRGraph
-from ..graph.schema import normalize_edges
-from ..graph.scc import scc
+from .pipeline import prepare_graph
 
 WITNESS_SCHEMA = "comp BIGINT, kind STRING, vertices ARRAY<BIGINT>"
 
 # Bound to None only so ``perfbench/spans.py``, which looks these names up
 # with ``getattr`` to wrap them, keeps working. Nothing calls them.
-trim = prefilter_edges = remove_cover = None
+normalize_edges = trim = prefilter_edges = remove_cover = None
 
 
 def _component_witnesses(pdf: pd.DataFrame, *, k: int,
@@ -61,17 +62,17 @@ def _component_witnesses(pdf: pd.DataFrame, *, k: int,
         "vertices": pd.Series([vs for _, vs in rows], dtype=object)})
 
 
-def cover_witnesses(spark: SparkSession, edges: DataFrame, cover: DataFrame,
-                    k: int, *, allow_two_cycles: bool = False) -> DataFrame:
+def cover_witnesses(comp_edges: DataFrame, cover: DataFrame, k: int, *,
+                    allow_two_cycles: bool = False) -> DataFrame:
     """Every refutation of ``cover`` (column ``v``) as a constrained-cycle
-    cover of ``edges``: ``(comp, kind, vertices)`` rows in original labels.
+    cover of ``comp_edges``, the frame of :func:`~.pipeline.prepare_graph`:
+    ``(comp, kind, vertices)`` rows in original labels.
 
     ``kind`` is ``"uncovered"`` (``vertices`` is one constrained cycle that
     misses the cover; at most one per component) or ``"redundant"`` (one
     cover vertex with no private cycle; ``comp`` is NULL when it is the
     source of no edge). No rows: the cover is feasible and minimal.
     """
-    comp_edges = scc(spark, normalize_edges(edges)).localCheckpoint(eager=True)
     cover = cover.select("v").distinct()
     flagged = (comp_edges
                .join(cover.select(F.col("v").alias("src"),
@@ -95,7 +96,8 @@ def distributed_check_cover(spark: SparkSession, edges: DataFrame,
                             cover: DataFrame, k: int, *,
                             allow_two_cycles: bool = False) -> bool:
     """True iff ``cover`` hits every constrained cycle of ``edges``."""
-    return (cover_witnesses(spark, edges, cover, k,
+    comp_edges, _ = prepare_graph(spark, edges, k)
+    return (cover_witnesses(comp_edges, cover, k,
                             allow_two_cycles=allow_two_cycles)
             .where(F.col("kind") == "uncovered")
             .isEmpty())

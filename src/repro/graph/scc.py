@@ -2,9 +2,9 @@
 
 Constrained cycles never cross SCCs, and every SCC lies inside one weak
 component, so the weak components are independent cover subproblems. This
-is the partitioner of both the cover pipeline
-(:func:`repro.dist.pipeline.prepare_graph`) and the distributed verifier
-(:mod:`repro.dist.verify`). Two steps:
+is the partitioner of the cover pipeline
+(:func:`repro.dist.pipeline.prepare_graph`), whose output the distributed
+verifier (:mod:`repro.dist.verify`) checks as it is. Two steps:
 
 1. **Weak components** — min-label propagation over the edges in both
    directions, iterated with no cap until no vertex changes its label, so

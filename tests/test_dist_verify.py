@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.verify import check_feasible, check_minimal
 from repro.dist.kernels import run_algorithm
-from repro.dist.pipeline import distributed_cover
+from repro.dist.pipeline import distributed_cover, prepare_graph
 from repro.dist.verify import cover_witnesses, distributed_check_cover
 from repro.graph.csr import CSRGraph
 from repro.graph.schema import edges_df
@@ -15,9 +15,13 @@ def cover_df(spark, vs):
     return spark.createDataFrame([(int(v),) for v in vs], "v BIGINT")
 
 
-def witness_rows(spark, pdf, cover, k, **kw):
-    wit = cover_witnesses(spark, edges_df(spark, pdf), cover_df(spark, cover),
-                          k, **kw)
+def split(spark, pdf, k):
+    """``pdf`` through the pipeline's weak split, as the verifier takes it."""
+    return prepare_graph(spark, edges_df(spark, pdf), k)[0]
+
+
+def witness_rows(spark, comp_edges, cover, k, **kw):
+    wit = cover_witnesses(comp_edges, cover_df(spark, cover), k, **kw)
     return sorted(((r.comp, r.kind, tuple(r.vertices)) for r in wit.collect()),
                   key=repr)
 
@@ -55,7 +59,8 @@ def test_planted_witnesses(spark):
             (10, 11), (11, 12), (12, 10), (10, 13), (13, 14), (14, 10),
             (2, 10), (2, 20)]
     pdf = pd.DataFrame(rows, columns=["src", "dst"])
-    assert witness_rows(spark, pdf, [10, 11, 20], 4) == sorted([
+    comp_edges = split(spark, pdf, 4)
+    assert witness_rows(spark, comp_edges, [10, 11, 20], 4) == sorted([
         (0, "uncovered", (0, 1, 2)),
         (0, "redundant", (11,)),
         (None, "redundant", (20,)),
@@ -67,7 +72,7 @@ def test_planted_witnesses(spark):
 def test_empty_cover_on_acyclic_graph(spark):
     pdf = pd.DataFrame([(0, 1), (1, 2), (0, 2), (2, 3), (4, 3)],
                        columns=["src", "dst"])
-    assert witness_rows(spark, pdf, [], 5) == []
+    assert witness_rows(spark, split(spark, pdf, 5), [], 5) == []
 
 
 def multi_scc(seed):
@@ -93,8 +98,9 @@ def test_agrees_with_driver_checks(spark, seed, k, allow_two_cycles):
         g, "tdb++", k, allow_two_cycles=allow_two_cycles).cover)
     assert cover, "the graph should have a constrained cycle"
     extra = next(int(v) for v in g.vertex_ids if int(v) not in cover)
+    comp_edges = split(spark, pdf, k)
     for cov in (cover, cover[1:], cover + [extra]):
-        rows = witness_rows(spark, pdf, cov, k,
+        rows = witness_rows(spark, comp_edges, cov, k,
                             allow_two_cycles=allow_two_cycles)
         feasible, _ = check_feasible(g, cov, k,
                                      allow_two_cycles=allow_two_cycles)
