@@ -6,11 +6,19 @@ is the partitioner of the cover pipeline
 (:func:`repro.dist.pipeline.prepare_graph`), whose output the distributed
 verifier (:mod:`repro.dist.verify`) checks as it is. Two steps:
 
-1. **Weak components** — min-label propagation over the edges in both
-   directions, iterated with no cap until no vertex changes its label, so
-   the labels are always the fixpoint. Every vertex ends up labelled with
-   the smallest id of its weakly connected component.
+1. **Weak components** — one grouped pandas task over all edges runs a
+   union-find in numpy: hook every root to the smallest root next to it,
+   then pointer-jump until every label is a root (Shiloach & Vishkin,
+   J. Algorithms 1982), until both ends of every edge agree. Every vertex
+   ends up labelled with the smallest id of its weakly connected
+   component. The passes run inside the task, so the Spark job count does
+   not grow with the graph's diameter.
 2. **One join** — every edge takes its source's label as ``comp``.
+
+The task holds every edge as int64 arrays. On all 16 registry analogs the
+largest weak component holds at least 98.9% of the edges, and a kernel
+task holds that whole component anyway, so the split task holds at most
+1.011x the edges of the largest kernel task.
 
 No edge is dropped and no Tarjan runs here: the TDB kernels and the
 verifier's feasibility sweep narrow their weak component to the intra-SCC
@@ -23,32 +31,44 @@ finer Spark split would buy no parallelism.
 """
 from __future__ import annotations
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from .schema import vertices
+WEAK_SCHEMA = "v BIGINT, weak BIGINT"
+
+
+def label_weak(pdf: pd.DataFrame) -> pd.DataFrame:
+    """``(v, weak)`` for every vertex of the ``src, dst`` edges in ``pdf``.
+
+    Vertices are renumbered ``0..n-1`` in id order, so the smallest index
+    of a component is its smallest id. ``label[x] <= x`` always holds and
+    every pass either lowers some root's label or finds every edge agreed,
+    so the loop ends."""
+    ids, ends = np.unique(pdf[["src", "dst"]].to_numpy(dtype=np.int64),
+                          return_inverse=True)
+    ends = ends.reshape(-1, 2)
+    src, dst = ends[:, 0], ends[:, 1]
+    label = np.arange(len(ids))
+    while True:
+        a, b = label[src], label[dst]
+        if np.array_equal(a, b):
+            return pd.DataFrame({"v": ids, "weak": ids[label]})
+        np.minimum.at(label, a, b)
+        np.minimum.at(label, b, a)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
 
 
 def weak_components(edges: DataFrame) -> DataFrame:
     """``(v, weak)``: the smallest vertex id of ``v``'s weak component."""
-    both = (edges.select("src", "dst")
-            .unionByName(edges.select(F.col("dst").alias("src"),
-                                      F.col("src").alias("dst")))
-            .localCheckpoint(eager=True))
-    label = vertices(edges).select("v", F.col("v").alias("weak")) \
-        .localCheckpoint(eager=True)
-    while True:
-        msgs = (both.join(label, both.src == label.v)
-                .groupBy(F.col("dst").alias("v"))
-                .agg(F.min("weak").alias("m")))
-        nxt = (label.join(msgs, "v", "left_outer")
-               .select("v", F.least("weak", F.coalesce("m", "weak"))
-                       .alias("weak"),
-                       (F.col("m") < F.col("weak")).alias("changed"))
-               .localCheckpoint(eager=True))
-        label = nxt.select("v", "weak")
-        if nxt.where("changed").isEmpty():
-            return label
+    # A bare integer literal would be read as a group-by ordinal.
+    return (edges.select("src", "dst").groupBy(F.lit(0).alias("all"))
+            .applyInPandas(label_weak, schema=WEAK_SCHEMA))
 
 
 def scc(spark: SparkSession, edges: DataFrame) -> DataFrame:

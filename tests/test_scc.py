@@ -3,8 +3,9 @@ labelled by its weak component, and every SCC inside one group."""
 import pandas as pd
 import pytest
 
+from repro.dist.pipeline import prepare_graph
 from repro.graph.csr import CSRGraph
-from repro.graph.scc import scc
+from repro.graph.scc import scc, weak_components
 from repro.graph.schema import edges_df
 from repro.graph.tarjan import tarjan_scc
 from repro.graphgen.models import powerlaw_digraph, uniform_digraph
@@ -54,8 +55,9 @@ def assert_sccs_inside_groups(rows, pdf):
 def two_cycle_chain(links):
     """``links`` 2-cycles {2i, 2i+1}, each fed by the next by one edge.
 
-    One weak component whose smallest id sits at one end, so min-label
-    propagation needs about ``2 * links`` rounds to reach the other."""
+    One weak component whose smallest id sits at one end, so a label
+    passed one hop per round needs about ``2 * links`` rounds to reach the
+    other."""
     rows = []
     for i in range(links):
         a, b = 2 * i, 2 * i + 1
@@ -159,3 +161,44 @@ def test_exact_on_scc_chain(spark):
 def test_empty(spark):
     e = spark.createDataFrame([], "src BIGINT, dst BIGINT")
     assert scc(spark, e).count() == 0
+    _, info = prepare_graph(spark, e, 5)
+    assert info["n_components"] == 0
+    assert info["m_input"] == info["m_partitioned"] == 0
+
+
+def test_huge_ids_labelled_by_smallest(spark):
+    # ids near 2**62, each input on its own offset: every edge is
+    # labelled with the smallest id of its weak component, with no
+    # precision lost on the way through Spark and numpy
+    big = 2 ** 62
+    parts = [uniform_digraph(18, 40, reciprocity=0.3, seed=1) + big,
+             two_cycle_chain(5) + big + 10 ** 6,
+             pd.DataFrame({"src": [0, 1, 2], "dst": [1, 2, 0]}) + big - 7]
+    pdf = pd.concat(parts, ignore_index=True)
+    rows = spark_groups(spark, pdf)
+    assert rows == weak_reference(pdf)
+    assert {c for c, _, _ in rows} >= {big + 10 ** 6, big - 7}
+
+
+def spark_jobs(spark, edges):
+    """Spark jobs that labelling and collecting ``edges``' weak components
+    runs, counted in a job group (a label loop driven from the driver runs
+    its jobs inside the call, before any collect)."""
+    sc = spark.sparkContext
+    group = f"test-scc-jobs-{id(edges)}"
+    sc.setJobGroup(group, "weak_components")
+    try:
+        weak_components(edges).collect()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+def test_job_count_independent_of_diameter(spark):
+    # the labelling runs in one task: a 1-link and a 60-link chain (about
+    # 120 hops end to end) start the same number of Spark jobs
+    short, long_ = (edges_df(spark, two_cycle_chain(links))
+                    .localCheckpoint(eager=True) for links in (1, 60))
+    jobs = spark_jobs(spark, short)
+    assert jobs > 0
+    assert spark_jobs(spark, long_) == jobs

@@ -54,7 +54,7 @@ def test_table3_dnf_rendering(spark):
 
 def test_table3_large_tier_splits_once(spark, monkeypatch):
     # Large tier: TDB++ runs on prepare_graph's weak split and the verifier
-    # checks that same frame, so the min-label loop runs once per dataset.
+    # checks that same frame, so the weak split runs once per dataset.
     calls = []
     weak_components = scc_mod.weak_components
 
