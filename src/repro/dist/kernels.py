@@ -58,14 +58,15 @@ def intra_scc_graph(g: CSRGraph) -> CSRGraph:
     itself if that is every edge).
 
     This is the only Tarjan pass on the cover path. The TDB degree order
-    is taken on this graph, so within each SCC it is the same whether
-    ``g`` is a raw ``single_group`` frame or one of ``prepare_graph``'s
-    weak components, and so are the cover and the op count. Any upstream
-    deletion that keeps every intra-SCC edge leaves the result unchanged.
-    A k-aware deletion (a k-hop prefilter, a short-walk restrict) does
-    not: it removes intra-SCC edges, which moves the degree order and so
-    the cover. No such deletion runs upstream of the kernels, and none may
-    without giving up that equality.
+    is taken on this graph, so within each SCC it is the same however the
+    edges reached the kernel (duplicated, with self-loops, in any
+    partition order, or in any group that holds the whole SCC), and so are
+    the cover and the op count. Any upstream deletion that keeps every
+    intra-SCC edge leaves the result unchanged. A k-aware deletion (a
+    k-hop prefilter, a short-walk restrict) does not: it removes
+    intra-SCC edges, which moves the degree order and so the cover. No
+    such deletion runs upstream of the kernels, and none may without
+    giving up that equality.
     """
     inside = scc_edge_mask(g)
     if inside.all():

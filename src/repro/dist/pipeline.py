@@ -1,24 +1,25 @@
 """The distributed cover pipeline (DESIGN.md §3).
 
-``prepare_graph``   normalize → weak split. One grouped task labels the
-                    weak components, then one join labels every edge
-                    with its weak component
-                    (:mod:`repro.graph.scc`); the distributed verifier
-                    (:mod:`repro.dist.verify`) checks this frame. No
-                    edge is dropped and no k-aware reduction runs: each
-                    TDB kernel keeps the edges inside one SCC
-                    (:func:`~repro.dist.kernels.intra_scc_graph`), and
-                    every search of every algorithm stays inside its weak
-                    component, so each algorithm's cover and ops are the
-                    same as on the raw graph as one group. The output
-                    ``(comp, src, dst)`` frame is checkpointed so the
-                    shared phases run once per dataset and every algorithm
-                    is then measured on identical partitioned input.
+``prepare_graph``   normalize → one kernel group. Self-loops and
+                    duplicate edges are dropped and every edge is
+                    labelled ``comp = 0`` (:func:`single_group`); the
+                    distributed verifier (:mod:`repro.dist.verify`)
+                    checks this frame. No edge is dropped beyond that and
+                    no k-aware reduction runs: each TDB kernel keeps the
+                    edges inside one SCC
+                    (:func:`~repro.dist.kernels.intra_scc_graph`), so
+                    each algorithm's cover and ops depend only on the
+                    normalized graph, not on how the input arrived. The
+                    output ``(comp, src, dst)`` frame is checkpointed so
+                    normalization runs once per dataset and every
+                    algorithm is then measured on identical input.
 
 ``run_cover``       groups the prepared frame by component and runs the
                     chosen sequential kernel per component in parallel
                     (``applyInPandas``), collecting cover rows and
-                    per-component stats.
+                    per-component stats. ``prepare_graph`` makes one
+                    component; a frame with several ``comp`` values is
+                    solved one kernel per value.
 
 ``distributed_cover`` = both steps, for one-shot use.
 
@@ -35,50 +36,54 @@ import time
 from functools import partial
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from ..core.result import CoverResult
 from ..graph.schema import normalize_edges
-from ..graph.scc import scc
 from .kernels import KERNEL_SCHEMA, solve_component
 
 # Bound to None only so ``perfbench/spans.py``, which looks these names up
 # with ``getattr`` to wrap them, keeps working. Nothing calls them.
-trim = prefilter_edges = None
+trim = prefilter_edges = scc = None
 
 ALGO_LABEL = {"bur": "BUR", "bur+": "BUR+", "tdb": "TDB", "tdb+": "TDB+",
               "tdb++": "TDB++", "darc-dv": "DARC-DV"}
 
 
 def single_group(edges: DataFrame) -> DataFrame:
-    """Wrap a raw edge frame as one kernel group (``comp = 0``).
+    """Wrap an edge frame as one kernel group (``comp = 0``).
 
-    The paper-faithful execution mode for graphs that fit one task: every
-    algorithm sees the raw graph; the TDB kernels keep its intra-SCC edges
-    in-kernel (counted in their time). ``prepare_graph`` is the scale-out
-    alternative."""
+    Every algorithm sees the whole graph; the TDB kernels keep its
+    intra-SCC edges in-kernel (counted in their time)."""
     return edges.select(F.lit(0).cast("bigint").alias("comp"), "src", "dst")
 
 
 def prepare_graph(spark: SparkSession, edges: DataFrame, k: int
                   ) -> tuple[DataFrame, dict]:
-    """Shared distributed phases; returns ``(comp_edges, info)``.
+    """Normalize ``edges`` into one kernel group; returns
+    ``(comp_edges, info)``.
 
     ``comp_edges`` has columns ``comp, src, dst``: every normalized edge,
-    labelled by its weak component. No phase here uses ``k``.
+    with ``comp = 0``. ``spark`` and ``k`` are unused; they keep the
+    signature every caller passes positionally.
     """
-    info: dict = {}
     t0 = time.perf_counter()
-    e = normalize_edges(edges).localCheckpoint(eager=True)
-    comp_edges = scc(spark, e).localCheckpoint(eager=True)
-    sizes = comp_edges.agg(F.count("*").alias("m"),
-                           F.countDistinct("comp").alias("c")).first()
-    # The split keeps every edge, so one aggregate gives both edge counts.
-    info["m_input"] = info["m_partitioned"] = sizes["m"]
-    info["n_components"] = sizes["c"]
-    info["prep_seconds"] = time.perf_counter() - t0
+    comp_edges = single_group(normalize_edges(edges)).localCheckpoint(
+        eager=True)
+    m = comp_edges.count()
+    info = {"m_input": m, "m_partitioned": m, "n_components": int(m > 0),
+            "prep_seconds": time.perf_counter() - t0}
     return comp_edges, info
+
+
+def _flag_stats(out: pd.DataFrame) -> pd.DataFrame:
+    """Kernel rows with a ``stat`` flag in place of the stats rows' NULL
+    ``vertex``. pandas reads a BIGINT column holding NULLs as float64,
+    which rounds ids above 2**53; flagging in the task adds no Spark
+    operator."""
+    return out.assign(stat=out.vertex.isna(), vertex=out.vertex.fillna(0))
 
 
 def run_cover(comp_edges: DataFrame, algorithm: str, k: int, *,
@@ -89,11 +94,12 @@ def run_cover(comp_edges: DataFrame, algorithm: str, k: int, *,
     kern = partial(solve_component, algorithm=algorithm, k=k,
                    allow_two_cycles=allow_two_cycles, op_budget=op_budget)
     out = (comp_edges.groupBy("comp")
-           .applyInPandas(lambda pdf: kern(pdf), schema=KERNEL_SCHEMA)
+           .applyInPandas(lambda pdf: _flag_stats(kern(pdf)),
+                          schema="stat BOOLEAN, " + KERNEL_SCHEMA)
            .toPandas())
     wall = time.perf_counter() - t0
-    stats = out[out.vertex.isna()]
-    cover = out[out.vertex.notna()]
+    stats = out[out.stat]
+    cover = out[~out.stat]
     kernel_seconds = float(stats.seconds.sum())
     finished = bool(stats.finished.all()) if len(stats) else True
     return CoverResult(

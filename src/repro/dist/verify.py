@@ -1,22 +1,22 @@
-"""Distributed cover verification on the pipeline's weak split.
+"""Distributed cover verification on the pipeline's normalized graph.
 
-No constrained cycle crosses a weak-component boundary, and both of the
-paper's conditions are per cycle: a cover is feasible iff it hits every
+No constrained cycle crosses an SCC boundary, and both of the paper's
+conditions are per cycle: a cover is feasible iff it hits every
 constrained cycle (Thm 1/4), and minimal iff every cover vertex has a
 private cycle, one that no other cover vertex hits (Thm 7). So every
-witness that refutes a cover lies inside one weak component of ``G``, and
-the check splits by component:
+witness that refutes a cover lies inside one SCC of ``G``, and the check
+runs per kernel group of any frame whose groups hold whole SCCs:
 
 1. the cover pipeline's own ``(comp, src, dst)`` frame from
-   :func:`repro.dist.pipeline.prepare_graph`, checked as it is (no split
-   runs here; it is sound because that split is exact, as
-   ``tests/test_scc.py`` pins);
+   :func:`repro.dist.pipeline.prepare_graph`: the normalized input graph
+   as one group, checked as it is (the verifier trusts no partition: it
+   checks the same edges the kernels ran on);
 2. the cover left-joined onto ``src`` as a ``covered`` flag: every vertex
-   on a cycle is the source of an edge of its component;
+   on a cycle is the source of an edge of its group;
 3. one ``groupBy("comp").applyInPandas`` running the exact
    :func:`~repro.core.verify.check_feasible` (which narrows to the
    non-trivial SCCs itself) and :func:`~repro.core.verify.check_minimal`
-   on that component's CSR;
+   on that group's CSR;
 4. every cover vertex that is the source of no edge, which lies on no
    cycle and so is redundant (``comp`` NULL).
 
@@ -43,8 +43,7 @@ normalize_edges = trim = prefilter_edges = remove_cover = None
 
 def _component_witnesses(pdf: pd.DataFrame, *, k: int,
                          allow_two_cycles: bool) -> pd.DataFrame:
-    """One weak component's flagged edges → its witness rows (original
-    labels)."""
+    """One group's flagged edges → its witness rows (original labels)."""
     comp = int(pdf["comp"].iloc[0])
     g = CSRGraph.from_edges(pdf)
     cover = pdf.loc[pdf["covered"], "src"].unique()
@@ -69,7 +68,7 @@ def cover_witnesses(comp_edges: DataFrame, cover: DataFrame, k: int, *,
     ``(comp, kind, vertices)`` rows in original labels.
 
     ``kind`` is ``"uncovered"`` (``vertices`` is one constrained cycle that
-    misses the cover; at most one per component) or ``"redundant"`` (one
+    misses the cover; at most one per group) or ``"redundant"`` (one
     cover vertex with no private cycle; ``comp`` is NULL when it is the
     source of no edge). No rows: the cover is feasible and minimal.
     """

@@ -2,10 +2,8 @@
 
 Constrained cycles never cross SCC boundaries, so the edges inside one SCC
 are the whole cover problem. :func:`scc_edge_mask` is that one graph
-reduction, which the TDB kernels apply to their weak component
-(:func:`repro.dist.kernels.intra_scc_graph`). :func:`tarjan_scc` on the
-whole graph is also the reference that the tests hold the distributed
-weak split (:mod:`repro.graph.scc`) against.
+reduction, which the TDB kernels apply to their kernel group
+(:func:`repro.dist.kernels.intra_scc_graph`).
 """
 from __future__ import annotations
 

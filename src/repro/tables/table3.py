@@ -1,32 +1,24 @@
 """Table III harness — cover size and runtime, k = 5.
 
-Measurement protocol (mirrors the paper's):
-
-* **small tier** — every algorithm runs on the *raw* graph as one Spark
-  kernel group (``single_group``). The TDB family keeps the graph's
-  intra-SCC edges in-kernel, *inside its measured time*; the baselines
-  run the graph as published. Reported seconds are
-  in-kernel seconds (Spark task-scheduling constants excluded
-  symmetrically for all algorithms).
-* **large tier** — the baselines still get the raw graph and exhaust
-  their op budget (the paper's "-"); TDB++ runs the full distributed
-  pipeline (weak split in Spark, per-component kernels in parallel) and
-  reports prep + kernel seconds.
+Measurement protocol (mirrors the paper's): every algorithm runs on the
+dataset's normalized graph as one Spark kernel group (``single_group``),
+at every tier. The TDB family keeps the graph's intra-SCC edges
+in-kernel, *inside its measured time*; the baselines run the graph as
+published. Reported seconds are in-kernel seconds (Spark task-scheduling
+constants excluded symmetrically for all algorithms). On the large tier
+the baselines exhaust their op budget (the paper's "-").
 
 At every tier the TDB++ cover is verified feasible and minimal before a
 row is emitted: :func:`~repro.dist.verify.cover_witnesses` runs the exact
-checks per weak component of the dataset's one ``prepare_graph`` split
-(which the large tier's TDB++ run shares) and must return no witness.
+checks on the same frame the kernels ran on and must return no witness.
 """
 from __future__ import annotations
-
-from functools import cache, partial
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from ..dist.pipeline import prepare_graph, run_cover, single_group
+from ..dist.pipeline import run_cover, single_group
 from ..dist.verify import cover_witnesses
 from ..graphgen.registry import DATASETS
 from ..synth_data import graph_edges
@@ -49,21 +41,16 @@ def run_table3(spark: SparkSession, *, k: int = 5,
     rows = []
     for name in (datasets or list(DATASETS)):
         spec = DATASETS[name]
-        edges = graph_edges(spark, name).localCheckpoint(eager=True)
-        raw = single_group(edges).localCheckpoint(eager=True)
-        prepared = cache(partial(prepare_graph, spark, edges, k))
+        # graph_edges is normalized at load, so this is prepare_graph's frame
+        graph = single_group(graph_edges(spark, name)).localCheckpoint(
+            eager=True)
         row: dict = {"dataset": name, "tier": spec.tier}
         for algo in algorithms:
-            comp_edges, prep_s = raw, 0.0
-            if spec.tier == "large" and algo.startswith("tdb"):
-                comp_edges, info = prepared()
-                prep_s = info["prep_seconds"]
-            res = run_cover(comp_edges, algo, k, op_budget=budgets.get(algo))
-            seconds = prep_s + res.seconds
+            res = run_cover(graph, algo, k, op_budget=budgets.get(algo))
             col = res.algorithm
             if res.finished:
                 row[f"{col}_size"] = res.size
-                row[f"{col}_s"] = round(seconds, 3)
+                row[f"{col}_s"] = round(res.seconds, 3)
             else:
                 row[f"{col}_size"] = np.nan
                 row[f"{col}_s"] = np.nan
@@ -73,7 +60,7 @@ def run_table3(spark: SparkSession, *, k: int = 5,
             if res.finished and algo == "tdb++":
                 cov = spark.createDataFrame([(int(v),) for v in res.cover],
                                             "v BIGINT")
-                bad = cover_witnesses(prepared()[0], cov, k).limit(5).collect()
+                bad = cover_witnesses(graph, cov, k).limit(5).collect()
                 assert not bad, \
                     f"TDB++ cover not a minimal cover on {name}: {bad}"
         rows.append(row)

@@ -15,8 +15,8 @@ def cover_df(spark, vs):
     return spark.createDataFrame([(int(v),) for v in vs], "v BIGINT")
 
 
-def split(spark, pdf, k):
-    """``pdf`` through the pipeline's weak split, as the verifier takes it."""
+def prepared(spark, pdf, k):
+    """``pdf`` through ``prepare_graph``, as the verifier takes it."""
     return prepare_graph(spark, edges_df(spark, pdf), k)[0]
 
 
@@ -51,7 +51,7 @@ def test_two_cycle_residue_not_a_violation(spark):
 
 
 def test_planted_witnesses(spark):
-    # One weak component, labelled 0. SCC {0,1,2}: one uncovered 3-cycle.
+    # One kernel group, labelled 0. SCC {0,1,2}: one uncovered 3-cycle.
     # SCC {10..14}: two 3-cycles through 10, so 10 covers both and 11 is
     # redundant. 20 hangs off the first SCC on a tail edge: it is the
     # source of no edge, so redundant too, with no component.
@@ -59,7 +59,7 @@ def test_planted_witnesses(spark):
             (10, 11), (11, 12), (12, 10), (10, 13), (13, 14), (14, 10),
             (2, 10), (2, 20)]
     pdf = pd.DataFrame(rows, columns=["src", "dst"])
-    comp_edges = split(spark, pdf, 4)
+    comp_edges = prepared(spark, pdf, 4)
     assert witness_rows(spark, comp_edges, [10, 11, 20], 4) == sorted([
         (0, "uncovered", (0, 1, 2)),
         (0, "redundant", (11,)),
@@ -72,7 +72,7 @@ def test_planted_witnesses(spark):
 def test_empty_cover_on_acyclic_graph(spark):
     pdf = pd.DataFrame([(0, 1), (1, 2), (0, 2), (2, 3), (4, 3)],
                        columns=["src", "dst"])
-    assert witness_rows(spark, split(spark, pdf, 5), [], 5) == []
+    assert witness_rows(spark, prepared(spark, pdf, 5), [], 5) == []
 
 
 def multi_scc(seed):
@@ -98,7 +98,7 @@ def test_agrees_with_driver_checks(spark, seed, k, allow_two_cycles):
         g, "tdb++", k, allow_two_cycles=allow_two_cycles).cover)
     assert cover, "the graph should have a constrained cycle"
     extra = next(int(v) for v in g.vertex_ids if int(v) not in cover)
-    comp_edges = split(spark, pdf, k)
+    comp_edges = prepared(spark, pdf, k)
     for cov in (cover, cover[1:], cover + [extra]):
         rows = witness_rows(spark, comp_edges, cov, k,
                             allow_two_cycles=allow_two_cycles)

@@ -7,7 +7,6 @@ fast while still exercising the real code paths end to end.
 import numpy as np
 import pytest
 
-import repro.graph.scc as scc_mod
 from repro.tables.paper import TABLE3, TABLE4
 from repro.tables.table2 import run_table2
 from repro.tables.table3 import run_table3
@@ -52,19 +51,10 @@ def test_table3_dnf_rendering(spark):
     assert np.isnan(df.iloc[0]["BUR+_s"])
 
 
-def test_table3_large_tier_splits_once(spark, monkeypatch):
-    # Large tier: TDB++ runs on prepare_graph's weak split and the verifier
-    # checks that same frame, so the weak split runs once per dataset.
-    calls = []
-    weak_components = scc_mod.weak_components
-
-    def counted(edges):
-        calls.append(1)
-        return weak_components(edges)
-
-    monkeypatch.setattr(scc_mod, "weak_components", counted)
+def test_table3_large_tier_row(spark):
+    # Large tier: TDB++ runs on the dataset's one kernel group and the
+    # verifier checks that same frame.
     df = run_table3(spark, datasets=["FLK"], algorithms=["tdb++"])
-    assert len(calls) == 1
     row = df.iloc[0]
     assert row["tier"] == "large"
     # a size means TDB++ finished; run_table3 asserts, before it emits the
