@@ -1,5 +1,5 @@
 """spark-submit entrypoint reproducing Table III (cover size + runtime,
-k=5, DARC-DV vs BUR+ vs TDB++; baselines DNF on the large tier).
+k=5, DARC-DV vs BUR+ vs TDB++; BUR+ DNF on the large tier).
 
 Usage: ``python jobs/table3_cover.py [DATASET ...]``
 

@@ -14,8 +14,9 @@ logical array is available in O(1) per search instead of O(n) reallocation
 The searches read one per-vertex value per edge, so every per-vertex
 array they touch is a Python list: the workspace fields here, the
 ``accepted``/``alive`` masks of the top-down, bottom-up, pruning and
-verifier loops, Tarjan's index/low, and DARC's line-graph scratch. Reading a
-list element costs several times less than reading a numpy scalar;
+verifier loops, DARC's ``active`` mask and out-list copy, and Tarjan's
+index/low. Reading a list element costs several times less than reading a
+numpy scalar;
 numpy stays in the whole-array steps (CSR build, degree order, SCC edge
 masks, label mapping).
 """

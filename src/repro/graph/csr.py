@@ -22,9 +22,9 @@ class CSRGraph:
     out-neighbors of ``v`` (sorted). ``out_lists[v]`` holds the same
     neighbors as a Python list of ints, which is much cheaper per element
     than a numpy slice: the block DFS (``core/blocks.py``), the BFS filter,
-    Tarjan and the brute-force oracle iterate those lists. DARC turns the
-    arrays into its own edge-indexed lists; bulk BFS and the whole-array
-    steps (degrees, ``edge_array``) use the arrays.
+    Tarjan and the brute-force oracle iterate those lists, and DARC
+    searches a copy of them. The whole-array steps (degrees,
+    ``edge_array``) use the arrays.
     """
 
     n: int

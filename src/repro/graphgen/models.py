@@ -90,9 +90,9 @@ def hierarchical_digraph(n: int, m: int, *, gamma: float = 2.3,
     * bulk (``(1-core_m_frac)·m`` edges over all ``n`` vertices):
       Chung-Lu endpoints, every edge oriented along a hidden random total
       order — a dense DAG. This is the region where plain k-bounded DFS
-      (BUR's FindCycle, DARC's searches) explodes combinatorially while
-      SCC/trim/BFS-filter dismiss it in linear time — the regime behind
-      the paper's large-tier "-" cells.
+      (BUR's FindCycle) explodes combinatorially while SCC/trim/BFS-filter
+      dismiss it in linear time — the regime behind the paper's large-tier
+      "-" cells.
     * core (``core_m_frac·m`` edges over a random ``core_frac·n`` vertex
       subset): a reciprocated power-law digraph carrying the constrained
       cycles. Core edges ignore the hidden order, so some cycles also

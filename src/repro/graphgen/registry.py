@@ -12,9 +12,9 @@ rule — each gets a deterministic synthetic analog here:
   EU sparsest), which is what drives the relative algorithm costs;
 * ``reciprocity`` is calibrated to the paper's Table IV
   with/without-2-cycle cover ratio ordering (ASC/CT/SAD high, GNU ~0);
-* the ``large`` tier (FLK, LJ, WKP, TW) is sized so the baselines
-  exhaust their op budget while TDB++ completes — reproducing the
-  structural "-" cells of Table III.
+* the ``large`` tier (FLK, LJ, WKP, TW) is sized so BUR+ exhausts its
+  op budget while TDB++ completes — the structural "-" cells of Table
+  III (DARC-DV on the node-split graph finishes all but TW).
 
 Paper-reported statistics are stored alongside for the Table II diff.
 """
@@ -68,8 +68,9 @@ _K, _M, _B = 10**3, 10**6, 10**9
 
 DATASETS: dict[str, DatasetSpec] = {s.name: s for s in [
     # -- small tier: all three algorithm families run ----------------------
-    # (sizes calibrated so the slowest baseline, DARC-DV, finishes within
-    # its op budget on every small dataset; paper average-degree ORDER is
+    # (sizes were calibrated so that DARC-DV's former line-graph search,
+    # then the slowest baseline, finished within its op budget on every
+    # small dataset; paper average-degree ORDER is
     # preserved: LOAN > WKV > SAD ~ WBS > WST > WGO > WND ~ CT > ASC >
     # GNU > WIT > EU)
     DatasetSpec("WKV", "Wiki-Vote", "powerlaw", 300, 4_000, 2.3, 0.20,
@@ -96,7 +97,7 @@ DATASETS: dict[str, DatasetSpec] = {s.name: s for s in [
                 "small", 111, 875 * _K, 5_100 * _K, 11.7),
     DatasetSpec("WBS", "webBerkStan", "powerlaw", 420, 4_400, 2.4, 0.30,
                 "small", 112, 685 * _K, 7_600 * _K, 22.2),
-    # -- large tier: baselines DNF (op budget), TDB++ completes ------------
+    # -- large tier: BUR+ DNF (op budget), TDB++ completes -----------------
     # (hierarchical model: dense acyclic power-law bulk + reciprocated
     # cyclic core — plain k-bounded DFS explodes in the bulk, the
     # blocked+filtered top-down dismisses it in linear time: the regime

@@ -1,10 +1,13 @@
-"""Recorded outcomes of the top-down, bottom-up and verifier kernels.
+"""Recorded outcomes of the top-down, bottom-up, DARC-DV and verifier
+kernels.
 
 ``kernel_reference.json`` was recorded from the searches over numpy
-workspace arrays and masks, before they moved onto Python lists. Any
+workspace arrays and masks, before they moved onto Python lists; the
+DARC-DV entries were added when DARC-DV moved onto the split graph. Any
 change to a DFS/BFS visiting order, the block certificates or the op
-accounting shows up here as a different cover, witness, verdict or op
-count. Regenerate it only for a change that means to move them::
+accounting shows up here as a different cover, witness, verdict, op
+count or DARC state size. Regenerate it only for a change that means to
+move them::
 
     PYTHONPATH=src:. python3 tests/test_kernel_reference.py
 """
@@ -14,16 +17,25 @@ from pathlib import Path
 import pytest
 
 from repro.core.bottom_up import bottom_up
+from repro.core.darc import darc_dv
 from repro.core.engine import OpBudget
 from repro.core.minimal import bur_plus
 from repro.core.top_down import TECHNIQUES, top_down
 from repro.core.verify import check_feasible, check_minimal
-
-from tests.test_darc import _reference_graph
+from repro.graph.csr import CSRGraph
+from repro.graphgen.models import powerlaw_digraph, uniform_digraph
 
 DATA = Path(__file__).with_name("kernel_reference.json")
 KINDS = ("uniform", "powerlaw")
 SEEDS = range(12)
+
+
+def _reference_graph(kind, seed):
+    if kind == "uniform":
+        edges = uniform_digraph(13, 40, reciprocity=0.4, seed=seed)
+    else:
+        edges = powerlaw_digraph(30, 110, reciprocity=0.4, seed=seed)
+    return CSRGraph.from_edges(edges)
 
 
 def _key(kind, seed, k, allow2):
@@ -35,10 +47,18 @@ def _cover(res):
     return [sorted(int(v) for v in res.cover), res.ops]
 
 
+def darc_outcome(res):
+    """DARC-DV's cover, ops and S/U/projection sizes."""
+    return _cover(res) + [res.extra["units_in_S"],
+                          res.extra["recorded_cycles"],
+                          res.extra["projected_size"]]
+
+
 def outcome(g, k, allow2):
     """Cover and ops of every TDB technique, BUR and BUR+; verdict,
     witness and ops of the verifiers on the TDB++ cover, on that cover
-    without its smallest label, and (minimality) on BUR's cover."""
+    without its smallest label, and (minimality) on BUR's cover; cover,
+    ops and state sizes of DARC-DV."""
     out = {tech: _cover(top_down(g, k, technique=tech,
                                  allow_two_cycles=allow2))
            for tech in TECHNIQUES}
@@ -54,6 +74,7 @@ def outcome(g, k, allow2):
         ok, found = check(g, labels, k, allow_two_cycles=allow2,
                           budget=budget)
         out[name] = [bool(ok), [int(v) for v in found], budget.spent]
+    out["darc-dv"] = darc_outcome(darc_dv(g, k, allow_two_cycles=allow2))
     return out
 
 

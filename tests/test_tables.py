@@ -4,9 +4,12 @@ Full-scale table regeneration lives in jobs/ (and EXPERIMENTS.md); these
 tests run the harnesses on the smallest configurations to keep the suite
 fast while still exercising the real code paths end to end.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.tables import table3
 from repro.tables.paper import TABLE3, TABLE4
 from repro.tables.table2 import run_table2
 from repro.tables.table3 import run_table3
@@ -49,6 +52,22 @@ def test_table3_dnf_rendering(spark):
                     budgets={"bur+": 10})
     assert np.isnan(df.iloc[0]["BUR+_size"])
     assert np.isnan(df.iloc[0]["BUR+_s"])
+
+
+def test_table3_checks_every_cover(spark, monkeypatch):
+    # DARC-DV's cover passes the exact checks; a BUR+ cover short of one
+    # vertex is refused before its row is emitted.
+    df = run_table3(spark, datasets=["EU"], algorithms=["darc-dv"])
+    assert df.iloc[0]["DARC-DV_size"] > 0
+    real = table3.run_cover
+
+    def short_cover(graph, algo, k, **kw):
+        res = real(graph, algo, k, **kw)
+        return dataclasses.replace(res, cover=res.cover[1:])
+
+    monkeypatch.setattr(table3, "run_cover", short_cover)
+    with pytest.raises(AssertionError, match="BUR\\+ cover not a minimal"):
+        run_table3(spark, datasets=["EU"], algorithms=["bur+"])
 
 
 def test_table3_large_tier_row(spark):
