@@ -21,14 +21,25 @@ from repro.graphgen.registry import DATASETS  # noqa: E402
 from repro.tables.table3 import run_table3  # noqa: E402
 
 
+def int_sizes(rows: pd.DataFrame) -> pd.DataFrame:
+    """``rows`` with every ``*_size`` column as nullable ``Int64``, so a
+    DNF (NA) does not turn the other rows' sizes into floats."""
+    return rows.astype({c: "Int64" for c in rows.columns
+                        if c.endswith("_size")})
+
+
+def read_rows(path: Path) -> pd.DataFrame:
+    return int_sizes(pd.read_csv(path))
+
+
 def save_row(rows_path: Path, row: pd.DataFrame) -> pd.DataFrame:
     """Write one dataset's ``row`` into the row file, replacing any
     earlier row of that dataset; returns the file's rows."""
-    rows = row
+    rows = int_sizes(row)
     if rows_path.exists():
-        old = pd.read_csv(rows_path)
-        rows = pd.concat([old[~old.dataset.isin(row.dataset)], row],
-                         ignore_index=True)
+        old = read_rows(rows_path)
+        rows = int_sizes(pd.concat([old[~old.dataset.isin(row.dataset)],
+                                    rows], ignore_index=True))
     rows.to_csv(rows_path, index=False)
     return rows
 
@@ -49,7 +60,7 @@ def main() -> None:
         rows = save_row(rows_path, row)
         print(row.to_string(index=False))
         rows.to_csv(RESULTS / f"table3_k{k}.csv", index=False)
-    emit(pd.read_csv(RESULTS / f"table3_k{k}.csv"), f"table3_k{k}")
+    emit(read_rows(RESULTS / f"table3_k{k}.csv"), f"table3_k{k}")
     spark.stop()
 
 

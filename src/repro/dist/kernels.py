@@ -9,7 +9,9 @@ algorithm and returns cover rows plus one per-component stats row
 """
 from __future__ import annotations
 
+import sys
 import time
+import zipimport
 
 import numpy as np
 import pandas as pd
@@ -74,10 +76,27 @@ def intra_scc_graph(g: CSRGraph) -> CSRGraph:
     return CSRGraph.from_edges(g.vertex_ids[g.edge_array()[inside]])
 
 
+def forget_zip_finders() -> None:
+    """Drop every cached ``zipimporter`` from ``sys.path_importer_cache``.
+
+    A Spark Python worker imports pyspark and py4j from zip archives, and
+    before every task pyspark calls ``importlib.invalidate_caches()``, which
+    makes each cached zip finder re-read its whole archive directory. A
+    task body that calls this first leaves the next task nothing to
+    re-read; the import system rebuilds a finder from ``sys.path_hooks``
+    the next time it needs one.
+    """
+    cache = sys.path_importer_cache
+    for path in [p for p, f in cache.items()
+                 if isinstance(f, zipimport.zipimporter)]:
+        del cache[path]
+
+
 def solve_component(pdf: pd.DataFrame, *, algorithm: str, k: int,
                     allow_two_cycles: bool = False,
                     op_budget: int | None = None) -> pd.DataFrame:
     """The applyInPandas kernel body: one component in, cover+stats out."""
+    forget_zip_finders()
     comp = int(pdf["comp"].iloc[0]) if len(pdf) else -1
     t0 = time.perf_counter()
     g = CSRGraph.from_edges(pdf)

@@ -32,6 +32,7 @@ from pyspark.sql import functions as F
 
 from ..core.verify import check_feasible, check_minimal
 from ..graph.csr import CSRGraph
+from .kernels import forget_zip_finders
 from .pipeline import prepare_graph
 
 WITNESS_SCHEMA = "comp BIGINT, kind STRING, vertices ARRAY<BIGINT>"
@@ -44,6 +45,7 @@ normalize_edges = trim = prefilter_edges = remove_cover = None
 def _component_witnesses(pdf: pd.DataFrame, *, k: int,
                          allow_two_cycles: bool) -> pd.DataFrame:
     """One group's flagged edges → its witness rows (original labels)."""
+    forget_zip_finders()
     comp = int(pdf["comp"].iloc[0])
     g = CSRGraph.from_edges(pdf)
     cover = pdf.loc[pdf["covered"], "src"].unique()

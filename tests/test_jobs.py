@@ -52,3 +52,20 @@ def test_table3_rerun_replaces_dataset_row(tmp_path):
     assert on_disk.equals(rows)
     assert sorted(zip(on_disk.dataset, on_disk["size"])) == [("GNU", 2),
                                                            ("WKV", 3)]
+
+
+def test_table3_sizes_stay_integers_beside_a_dnf(tmp_path):
+    job = load_job("table3_cover")
+    path = tmp_path / "rows.csv"
+    job.save_row(path, pd.DataFrame({"dataset": ["WKV"], "A_size": [115],
+                                     "A_s": [0.5]}))
+    dnf = float("nan")
+    rows = job.save_row(path, pd.DataFrame({"dataset": ["FLK"],
+                                            "A_size": [dnf], "A_s": [dnf]}))
+    assert path.read_text().splitlines() == [
+        "dataset,A_size,A_s", "WKV,115,0.5", "FLK,,"]
+    on_disk = job.read_rows(path)
+    assert str(on_disk.A_size.dtype) == "Int64"
+    assert on_disk.equals(rows)
+    assert on_disk.A_size.tolist()[0] == 115
+    assert on_disk.A_size.isna().tolist() == [False, True]

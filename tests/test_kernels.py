@@ -1,4 +1,8 @@
 """Per-component kernels (applyInPandas bodies) and their dispatch."""
+import importlib
+import sys
+import zipfile
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -46,6 +50,36 @@ def test_solve_component_budget_dnf():
     out = solve_component(pdf, algorithm="bur+", k=5, op_budget=10)
     stats = out[out.vertex.isna()]
     assert not stats.iloc[0]["finished"]
+
+
+@pytest.fixture
+def zip_on_path(tmp_path):
+    """A two-module zip on ``sys.path``; ``sys.path`` and ``sys.modules``
+    are restored afterwards."""
+    archive = tmp_path / "mods.zip"
+    with zipfile.ZipFile(archive, "w") as z:
+        z.writestr("zipmod_first.py", "VALUE = 1\n")
+        z.writestr("zipmod_second.py", "VALUE = 2\n")
+    path, modules = sys.path[:], dict(sys.modules)
+    sys.path.insert(0, str(archive))
+    yield str(archive)
+    sys.path[:] = path
+    for name in set(sys.modules) - set(modules):
+        del sys.modules[name]
+    sys.path_importer_cache.pop(str(archive), None)
+
+
+def test_solve_component_forgets_zip_finders(zip_on_path):
+    assert importlib.import_module("zipmod_first").VALUE == 1
+    assert zip_on_path in sys.path_importer_cache
+    pdf = pd.DataFrame({"src": [0, 1, 2], "dst": [1, 2, 0], "comp": 0})
+    want = run_algorithm(CSRGraph.from_edges(pdf[["src", "dst"]]),
+                         "tdb++", 3).cover
+    out = solve_component(pdf, algorithm="tdb++", k=3)
+    assert zip_on_path not in sys.path_importer_cache
+    assert out.vertex.dropna().astype(int).tolist() == list(want)
+    assert len(want) == 1
+    assert importlib.import_module("zipmod_second").VALUE == 2
 
 
 def test_restriction_only_for_tdb_family():

@@ -157,6 +157,28 @@ def test_multi_component_graphs_solved_per_component(spark):
         zip(BRIDGED_TRIANGLES.src, BRIDGED_TRIANGLES.dst))
 
 
+def test_worker_keeps_no_zip_finder(spark):
+    """On a Spark Python worker, the kernels' first call leaves no zip
+    finder for pyspark's per-task ``importlib.invalidate_caches()`` to
+    re-read."""
+    def probe(batches):
+        import importlib
+        import sys
+        import zipimport
+
+        from repro.dist.kernels import forget_zip_finders
+        for _ in batches:
+            pass
+        forget_zip_finders()
+        importlib.invalidate_caches()
+        left = sum(isinstance(f, zipimport.zipimporter)
+                   for f in sys.path_importer_cache.values())
+        yield pd.DataFrame({"left": [left]})
+
+    out = spark.range(1).coalesce(1).mapInPandas(probe, "left BIGINT")
+    assert out.collect()[0]["left"] == 0
+
+
 def test_single_group_wraps_raw(spark):
     pdf = pd.DataFrame([(0, 1), (1, 0)], columns=["src", "dst"])
     sg = single_group(edges_df(spark, pdf)).toPandas()
