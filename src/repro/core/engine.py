@@ -7,9 +7,10 @@ use inside Spark executors (no wall-clock alarms, no signals), which is how
 the Table III ``-`` cells for the large datasets are reproduced.
 
 :class:`Workspace` owns the per-graph scratch arrays (DFS stack membership,
-block values, BFS distances) with *version stamping* so that a fresh
-logical array is available in O(1) per search instead of O(n) reallocation
-— essential because the top-down driver runs up to ``n`` searches.
+block values, the BFS filter's visited marks) with *version stamping* so
+that a fresh logical array is available in O(1) per search instead of O(n)
+reallocation — essential because the top-down driver runs up to ``n``
+searches.
 
 The searches read one per-vertex value per edge, so every per-vertex
 array they touch is a Python list: the workspace fields here, the
@@ -62,12 +63,14 @@ class Workspace:
     discipline (push/pop symmetric, cleared on success, failure and budget
     exhaustion) keeps it all-False between searches; the tests check that.
 
-    ``dist`` / ``dist_stamp`` and ``queue``: BFS scratch for the filter.
+    ``dist_stamp`` / ``back_stamp``: the BFS filter's forward and backward
+    visited marks, stamped like the blocks. The filter keeps its frontiers
+    in local lists, so no distance or queue array is needed.
     """
 
     __slots__ = (
-        "n", "block", "block_stamp", "in_stack", "dist", "dist_stamp",
-        "queue", "_epoch",
+        "n", "block", "block_stamp", "in_stack", "dist_stamp", "back_stamp",
+        "_epoch",
     )
 
     def __init__(self, n: int):
@@ -75,9 +78,8 @@ class Workspace:
         self.block = [0] * n
         self.block_stamp = [0] * n
         self.in_stack = [False] * n
-        self.dist = [0] * n
         self.dist_stamp = [0] * n
-        self.queue = [0] * max(n, 1)
+        self.back_stamp = [0] * n
         self._epoch = 0
 
     def new_epoch(self) -> int:

@@ -10,6 +10,7 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from .engine import OpBudget, Workspace
+from .bfs_filter import bfs_filter
 from .blocks import node_necessary
 from ..graph.tarjan import nontrivial_scc_mask
 
@@ -29,9 +30,13 @@ def check_feasible(g: CSRGraph, cover_labels, k: int | None, *,
     ids) when infeasible. Strategy: remove the cover, keep only vertices in
     non-trivial SCCs, then sweep — a vertex with no constrained cycle
     through it can itself be removed before checking the next one, so the
-    residual graph monotonically shrinks. The cover removal and the SCC
-    pass are whole-array steps; the sweep's searches read ``alive`` once
-    per edge, so it becomes a list first.
+    residual graph monotonically shrinks. With a hop bound, each swept
+    vertex first asks the BFS filter (Alg 11): a vertex on no closed walk
+    of length <= k is dropped without a DFS, as the DFS would have dropped
+    it, so ``alive`` and the witness are the same either way. A feasible
+    cover's sweep is all failed searches, which is where the filter pays.
+    The cover removal and the SCC pass are whole-array steps; the sweep's
+    searches read ``alive`` once per edge, so it becomes a list first.
     """
     budget = budget or OpBudget()
     ws = Workspace(g.n)
@@ -42,10 +47,11 @@ def check_feasible(g: CSRGraph, cover_labels, k: int | None, *,
     sweep = np.flatnonzero(alive).tolist()
     alive = alive.tolist()
     for v in sweep:
-        cyc = node_necessary(g, v, k, alive, ws, budget,
-                             allow_two_cycles=allow_two_cycles)
-        if cyc is not None:
-            return False, cyc
+        if k is None or bfs_filter(g, v, k, alive, ws, budget):
+            cyc = node_necessary(g, v, k, alive, ws, budget,
+                                 allow_two_cycles=allow_two_cycles)
+            if cyc is not None:
+                return False, cyc
         alive[v] = False  # on no cycle: removing it cannot hide one
     return True, []
 

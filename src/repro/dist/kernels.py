@@ -73,7 +73,7 @@ def intra_scc_graph(g: CSRGraph) -> CSRGraph:
     inside = scc_edge_mask(g)
     if inside.all():
         return g
-    return CSRGraph.from_edges(g.vertex_ids[g.edge_array()[inside]])
+    return g.edge_subgraph(inside)
 
 
 def forget_zip_finders() -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import pandas as pd
@@ -24,7 +25,9 @@ class CSRGraph:
     than a numpy slice: the block DFS (``core/blocks.py``), the BFS filter,
     Tarjan and the brute-force oracle iterate those lists, and DARC
     searches a copy of them. The whole-array steps (degrees,
-    ``edge_array``) use the arrays.
+    ``edge_array``) use the arrays. ``in_lists`` (the in-neighbors, for
+    the BFS filter's backward side) is built on first use, so the kernels
+    without the filter never pay for it.
     """
 
     n: int
@@ -58,10 +61,38 @@ class CSRGraph:
         indices_out = dst[order].astype(np.int64)
         indptr_out = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr_out[1:])
-        flat, ptr = indices_out.tolist(), indptr_out.tolist()
-        out_lists = [flat[ptr[v]:ptr[v + 1]] for v in range(n)]
-        return cls(n, len(indices_out), indptr_out, indices_out,
-                   labels, out_lists)
+        return cls(n, len(indices_out), indptr_out, indices_out, labels,
+                   _split(indices_out, indptr_out))
+
+    def edge_subgraph(self, keep: np.ndarray) -> "CSRGraph":
+        """The graph on the edges flagged in ``keep`` (a mask over
+        ``edge_array()``), with its vertices relabelled ``0..n'-1`` by
+        their rank here.
+
+        The rank keeps the labels sorted and the kept edges in CSR order,
+        so this equals ``from_edges`` on the kept labelled edges without
+        its sort, dedup and self-loop passes.
+        """
+        src = self._sources()[keep]
+        dst = self.indices_out[keep]
+        used = np.zeros(self.n, dtype=bool)
+        used[src] = used[dst] = True
+        rank = np.cumsum(used) - 1
+        n = int(used.sum())
+        indices_out = rank[dst]
+        indptr_out = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rank[src], minlength=n), out=indptr_out[1:])
+        return CSRGraph(n, len(indices_out), indptr_out, indices_out,
+                        self.vertex_ids[used],
+                        _split(indices_out, indptr_out))
+
+    @cached_property
+    def in_lists(self) -> list[list[int]]:
+        """``in_lists[v]``: the in-neighbors of ``v``, sorted, as Python
+        lists (the transpose of ``out_lists``)."""
+        order = np.argsort(self.indices_out, kind="stable")
+        return _split(self._sources()[order],
+                      np.concatenate(([0], np.cumsum(self.in_degrees()))))
 
     # -- accessors ---------------------------------------------------------
     def out_neighbors(self, v: int) -> list[int]:
@@ -83,8 +114,17 @@ class CSRGraph:
 
     def edge_array(self) -> np.ndarray:
         """Return the ``(m, 2)`` local-index edge list in CSR order."""
-        src = np.repeat(np.arange(self.n), self.out_degrees())
-        return np.column_stack([src, self.indices_out])
+        return np.column_stack([self._sources(), self.indices_out])
+
+    def _sources(self) -> np.ndarray:
+        """The tail of every edge, in CSR order."""
+        return np.repeat(np.arange(self.n), self.out_degrees())
 
     def to_labels(self, local: np.ndarray | list) -> np.ndarray:
         return self.vertex_ids[np.asarray(local, dtype=np.int64)]
+
+
+def _split(flat: np.ndarray, indptr: np.ndarray) -> list[list[int]]:
+    """One Python list per vertex: ``flat[indptr[v]:indptr[v + 1]]``."""
+    flat, ptr = flat.tolist(), indptr.tolist()
+    return [flat[ptr[v]:ptr[v + 1]] for v in range(len(ptr) - 1)]

@@ -33,6 +33,38 @@ def test_in_degrees_and_out_lists(tri):
         assert tri.out_neighbors(v) == tri.indices_out[lo:hi].tolist()
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_in_lists_are_the_sorted_transpose(seed):
+    rng = np.random.default_rng(seed)
+    g = CSRGraph.from_edges(rng.integers(0, 30, size=(120, 2)))
+    want = [[] for _ in range(g.n)]
+    for u, w in g.edge_array().tolist():
+        want[w].append(u)
+    assert g.in_lists == [sorted(srcs) for srcs in want]
+    assert [len(srcs) for srcs in g.in_lists] == g.in_degrees().tolist()
+
+
+def test_in_lists_built_once_and_only_on_use(tri):
+    assert "in_lists" not in vars(tri)
+    first = tri.in_lists
+    assert tri.in_lists is first
+    assert vars(tri)["in_lists"] is first
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_edge_subgraph_equals_from_edges_on_the_kept_edges(seed):
+    rng = np.random.default_rng(seed)
+    g = CSRGraph.from_edges(rng.integers(0, 40, size=(160, 2)) * 3 + 5)
+    keep = rng.random(g.m) < (0.5 if seed else 0.0)
+    sub = g.edge_subgraph(keep)
+    want = CSRGraph.from_edges(g.vertex_ids[g.edge_array()[keep]])
+    assert (sub.n, sub.m) == (want.n, want.m)
+    for field in ("indptr_out", "indices_out", "vertex_ids"):
+        assert getattr(sub, field).tolist() == getattr(want, field).tolist()
+    assert sub.out_lists == want.out_lists
+    assert sub.in_lists == want.in_lists
+
+
 def test_degrees(tri):
     assert tri.out_degrees().sum() == tri.m
     assert tri.in_degrees().sum() == tri.m

@@ -28,16 +28,20 @@ def test_workspace_epochs_distinct():
 
 def test_workspace_shapes():
     ws = Workspace(7)
-    for field in (ws.block, ws.block_stamp, ws.in_stack, ws.dist,
-                  ws.dist_stamp):
+    for field in (ws.block, ws.block_stamp, ws.in_stack, ws.dist_stamp,
+                  ws.back_stamp):
         assert len(field) == 7
     assert ws.in_stack == [False] * 7
-    assert len(ws.queue) >= 7
+    # the BFS filter keeps its frontiers locally: no distance or queue
+    assert not hasattr(ws, "dist") and not hasattr(ws, "queue")
 
 
 def test_workspace_zero_vertices():
     ws = Workspace(0)
-    assert len(ws.queue) == 1  # never empty, BFS guards on it
+    for field in (ws.block, ws.block_stamp, ws.in_stack, ws.dist_stamp,
+                  ws.back_stamp):
+        assert field == []
+    assert ws.new_epoch() == 1
 
 
 def test_stamping_invalidates_blocks():

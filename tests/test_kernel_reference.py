@@ -3,7 +3,10 @@ kernels.
 
 ``kernel_reference.json`` was recorded from the searches over numpy
 workspace arrays and masks, before they moved onto Python lists; the
-DARC-DV entries were added when DARC-DV moved onto the split graph. Any
+DARC-DV entries were added when DARC-DV moved onto the split graph, and
+the TDB++ and ``feasible``/``feasible_short`` op counts were re-recorded
+when the BFS filter became bidirectional and started running in front of
+the feasibility sweep (every cover, verdict and witness stayed). Any
 change to a DFS/BFS visiting order, the block certificates or the op
 accounting shows up here as a different cover, witness, verdict, op
 count or DARC state size. Regenerate it only for a change that means to

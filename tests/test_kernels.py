@@ -24,6 +24,14 @@ def test_run_algorithm_dispatch(algo):
     assert check_feasible(g, res.cover, 4)[0]
 
 
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_only_the_bfs_filter_builds_in_lists(algo):
+    g = CSRGraph.from_edges(uniform_digraph(15, 50, reciprocity=0.3,
+                                            seed=1))
+    run_algorithm(g, algo, 4)
+    assert ("in_lists" in vars(g)) == (algo == "tdb++")
+
+
 def test_run_algorithm_unknown():
     g = CSRGraph.from_edges(np.array([[0, 1], [1, 0]]))
     with pytest.raises(ValueError):

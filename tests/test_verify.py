@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import repro.core.verify as verify_mod
 from repro.core.brute import all_simple_cycles, is_cover
 from repro.core.top_down import top_down
 from repro.core.verify import check_feasible, check_minimal
@@ -71,3 +72,36 @@ def test_two_cycle_mode(allow2):
     g = CSRGraph.from_edges(np.array([[0, 1], [1, 0]]))
     ok, _ = check_feasible(g, [], 5, allow_two_cycles=allow2)
     assert ok != allow2  # empty cover fine iff 2-cycles are not counted
+
+
+def test_unconstrained_check_never_calls_the_filter(monkeypatch):
+    def no_filter(*args):
+        raise AssertionError("k=None needs no hop-bounded filter")
+
+    monkeypatch.setattr(verify_mod, "bfs_filter", no_filter)
+    g = CSRGraph.from_edges(np.array([[0, 1], [1, 2], [2, 3], [3, 4],
+                                      [4, 5], [5, 0], [2, 6], [6, 2]]))
+    assert not check_feasible(g, [], None)[0]  # the 6-cycle has no bound
+    assert check_feasible(g, [0], None)[0]
+    res = top_down(g, None, technique="tdb++")
+    assert check_feasible(g, res.cover, None)[0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("allow2", [False, True])
+def test_filtered_sweep_keeps_verdict_and_witness(monkeypatch, seed, allow2):
+    """With the filter answering True everywhere the sweep runs a DFS on
+    every vertex, as it did before the filter: verdicts and witnesses
+    must not move."""
+    g = CSRGraph.from_edges(uniform_digraph(30, 100, reciprocity=0.3,
+                                            seed=seed))
+    rng = np.random.default_rng(seed)
+    covers = [top_down(g, 4, allow_two_cycles=allow2).cover.tolist()]
+    covers += [rng.choice(g.vertex_ids, size=rng.integers(0, g.n // 3),
+                          replace=False).tolist() for _ in range(4)]
+    with_filter = [check_feasible(g, c, 4, allow_two_cycles=allow2)
+                   for c in covers]
+    monkeypatch.setattr(verify_mod, "bfs_filter", lambda *a: True)
+    assert with_filter == [check_feasible(g, c, 4, allow_two_cycles=allow2)
+                           for c in covers]
+    assert with_filter[0] == (True, [])
