@@ -2,14 +2,14 @@
 TDB vs TDB+ vs TDB++ on the WKV analog across k."""
 import pytest
 
-from repro.dist.kernels import intra_scc_graph, run_algorithm
+from repro.dist.kernels import run_algorithm
 from repro.graph.csr import CSRGraph
 from repro.graphgen.registry import generate
 
 
 @pytest.fixture(scope="module")
 def wkv():
-    return intra_scc_graph(CSRGraph.from_edges(generate("WKV")))
+    return CSRGraph.from_edges(generate("WKV")).intra_scc_graph
 
 
 @pytest.mark.parametrize("k", [3, 5, 7])

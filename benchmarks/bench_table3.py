@@ -6,7 +6,7 @@ selects these; the full 16-dataset sweep is ``jobs/table3_cover.py``.
 """
 import pytest
 
-from repro.dist.kernels import intra_scc_graph, run_algorithm
+from repro.dist.kernels import run_algorithm
 from repro.graph.csr import CSRGraph
 from repro.graphgen.registry import generate
 
@@ -24,7 +24,7 @@ def graphs():
 def test_cover_kernel(benchmark, graphs, dataset, algo):
     g = graphs[dataset]
     if algo.startswith("tdb"):
-        g = intra_scc_graph(g)
+        g = g.intra_scc_graph
 
     def run():
         return run_algorithm(g, algo, 5, op_budget=2_000_000_000)

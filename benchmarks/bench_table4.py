@@ -1,7 +1,7 @@
 """Benchmark behind Table IV: TDB++ with vs without 2-cycles, k = 5."""
 import pytest
 
-from repro.dist.kernels import intra_scc_graph, run_algorithm
+from repro.dist.kernels import run_algorithm
 from repro.graph.csr import CSRGraph
 from repro.graphgen.registry import generate
 
@@ -10,7 +10,7 @@ DATASETS = ["WKV", "ASC"]
 
 @pytest.fixture(scope="module")
 def graphs():
-    return {name: intra_scc_graph(CSRGraph.from_edges(generate(name)))
+    return {name: CSRGraph.from_edges(generate(name)).intra_scc_graph
             for name in DATASETS}
 
 

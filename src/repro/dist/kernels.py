@@ -2,10 +2,11 @@
 
 ``applyInPandas`` ships each component's edge frame to an executor; the
 kernel rebuilds a CSR graph and, for the TDB family only, keeps the edges
-inside one SCC (:func:`intra_scc_graph`; the baselines run the graph as
-given, per DESIGN's Table III protocol). It then runs the requested
-algorithm and returns cover rows plus one per-component stats row
-(``vertex`` NULL) carrying kernel seconds / op count / finished flag.
+inside one SCC (:attr:`~repro.graph.csr.CSRGraph.intra_scc_graph`; the
+baselines run the graph as given, per DESIGN's Table III protocol). It
+then runs the requested algorithm and returns cover rows plus one
+per-component stats row (``vertex`` NULL) carrying kernel seconds / op
+count / finished flag.
 """
 from __future__ import annotations
 
@@ -22,12 +23,10 @@ from ..core.engine import OpBudget
 from ..core.minimal import bur_plus
 from ..core.top_down import top_down
 from ..graph.csr import CSRGraph
-from ..graph.tarjan import scc_edge_mask
-# Neither is called here. ``perfbench/spans.py`` looks both names up with
-# ``getattr`` to wrap them, so one stays imported and the other is bound to
-# None (its module is deleted).
-from ..graph.tarjan import nontrivial_scc_mask  # noqa: F401
-restrict_to_short_walk_edges = None
+
+# Bound to None only so ``perfbench/spans.py``, which looks these names up
+# with ``getattr`` to wrap them, keeps working. Nothing calls them.
+nontrivial_scc_mask = restrict_to_short_walk_edges = None
 
 KERNEL_SCHEMA = ("vertex BIGINT, comp BIGINT, seconds DOUBLE, ops BIGINT, "
                  "finished BOOLEAN")
@@ -55,27 +54,6 @@ def run_algorithm(g: CSRGraph, algorithm: str, k: int, *,
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def intra_scc_graph(g: CSRGraph) -> CSRGraph:
-    """The TDB kernels' graph: the edges of ``g`` inside one SCC (``g``
-    itself if that is every edge).
-
-    This is the only Tarjan pass on the cover path. The TDB degree order
-    is taken on this graph, so within each SCC it is the same however the
-    edges reached the kernel (duplicated, with self-loops, in any
-    partition order, or in any group that holds the whole SCC), and so are
-    the cover and the op count. Any upstream deletion that keeps every
-    intra-SCC edge leaves the result unchanged. A k-aware deletion (a
-    k-hop prefilter, a short-walk restrict) does not: it removes
-    intra-SCC edges, which moves the degree order and so the cover. No
-    such deletion runs upstream of the kernels, and none may without
-    giving up that equality.
-    """
-    inside = scc_edge_mask(g)
-    if inside.all():
-        return g
-    return g.edge_subgraph(inside)
-
-
 def forget_zip_finders() -> None:
     """Drop every cached ``zipimporter`` from ``sys.path_importer_cache``.
 
@@ -101,9 +79,15 @@ def solve_component(pdf: pd.DataFrame, *, algorithm: str, k: int,
     t0 = time.perf_counter()
     g = CSRGraph.from_edges(pdf)
     # Only the TDB family reduces its graph, inside its measured time; the
-    # baselines run the graph as published (the paper did the same).
+    # baselines run the graph as published (the paper did the same). The
+    # TDB degree order is taken on the reduced graph, so within each SCC it
+    # is the same however the edges reached the kernel (duplicated, with
+    # self-loops, in any partition order, or in any group that holds the
+    # whole SCC), and so are the cover and the op count. A k-aware deletion
+    # upstream (a k-hop prefilter, a short-walk restrict) would remove
+    # intra-SCC edges and move both; none runs.
     if algorithm.startswith("tdb"):
-        g = intra_scc_graph(g)
+        g = g.intra_scc_graph
     res = run_algorithm(g, algorithm, k, allow_two_cycles=allow_two_cycles,
                         op_budget=op_budget)
     seconds = time.perf_counter() - t0

@@ -7,12 +7,14 @@
                     checks this frame. No edge is dropped beyond that and
                     no k-aware reduction runs: each TDB kernel keeps the
                     edges inside one SCC
-                    (:func:`~repro.dist.kernels.intra_scc_graph`), so
-                    each algorithm's cover and ops depend only on the
-                    normalized graph, not on how the input arrived. The
-                    output ``(comp, src, dst)`` frame is checkpointed so
-                    normalization runs once per dataset and every
-                    algorithm is then measured on identical input.
+                    (:attr:`~repro.graph.csr.CSRGraph.intra_scc_graph`,
+                    the one graph reduction, which the verifier searches
+                    too), so each algorithm's cover and ops depend only
+                    on the normalized graph, not on how the input
+                    arrived. The output ``(comp, src, dst)`` frame is
+                    checkpointed so normalization runs once per dataset
+                    and every algorithm is then measured on identical
+                    input.
 
 ``run_cover``       groups the prepared frame by component and runs the
                     chosen sequential kernel per component in parallel

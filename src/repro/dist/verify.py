@@ -14,9 +14,10 @@ runs per kernel group of any frame whose groups hold whole SCCs:
 2. the cover left-joined onto ``src`` as a ``covered`` flag: every vertex
    on a cycle is the source of an edge of its group;
 3. one ``groupBy("comp").applyInPandas`` running the exact
-   :func:`~repro.core.verify.check_feasible` (which narrows to the
-   non-trivial SCCs itself) and :func:`~repro.core.verify.check_minimal`
-   on that group's CSR;
+   :func:`~repro.core.verify.check_feasible` and
+   :func:`~repro.core.verify.check_minimal` on that group's CSR; both
+   search its ``intra_scc_graph``, the reduction the TDB kernels search,
+   built once for the two;
 4. every cover vertex that is the source of no edge, which lies on no
    cycle and so is redundant (``comp`` NULL).
 

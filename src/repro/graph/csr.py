@@ -2,8 +2,9 @@
 
 The distributed layer hands components to executors as pandas edge frames;
 :class:`CSRGraph` is the in-process representation those kernels run on.
-Vertices are relabelled to ``0..n-1``; ``vertex_ids`` maps back to the
-original labels so covers can be re-joined to the Spark world.
+Vertices are relabelled to ``0..n-1`` in label order; ``vertex_ids``
+(sorted) maps back to the original labels so covers can be re-joined to
+the Spark world.
 """
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ from functools import cached_property
 
 import numpy as np
 import pandas as pd
+
+from .tarjan import scc_edge_mask
 
 
 @dataclass
@@ -27,7 +30,9 @@ class CSRGraph:
     searches a copy of them. The whole-array steps (degrees,
     ``edge_array``) use the arrays. ``in_lists`` (the in-neighbors, for
     the BFS filter's backward side) is built on first use, so the kernels
-    without the filter never pay for it.
+    without the filter never pay for it. So is ``intra_scc_graph``, the
+    one graph reduction: the TDB kernels and both verifier checks search
+    it, and a graph checked several times builds it once.
     """
 
     n: int
@@ -93,6 +98,23 @@ class CSRGraph:
         order = np.argsort(self.indices_out, kind="stable")
         return _split(self._sources()[order],
                       np.concatenate(([0], np.cumsum(self.in_degrees()))))
+
+    @cached_property
+    def intra_scc_graph(self) -> "CSRGraph":
+        """The edges whose ends share an SCC (``self`` if that is every
+        edge), the only graph reduction: every cycle lies inside one SCC
+        (Tarjan, 1972), so every other edge lies on none.
+
+        Its vertices are those of some intra-SCC edge, relabelled by rank
+        (:meth:`edge_subgraph`), so its labels are a sorted subset of
+        ``vertex_ids``. The sliced graph is its own reduction.
+        """
+        inside = scc_edge_mask(self)
+        if inside.all():
+            return self
+        sub = self.edge_subgraph(inside)
+        sub.intra_scc_graph = sub
+        return sub
 
     # -- accessors ---------------------------------------------------------
     def out_neighbors(self, v: int) -> list[int]:

@@ -31,8 +31,8 @@ def run_speedup(spark: SparkSession, *, datasets: tuple = ("WKV", "WGO"),
                 op_budget: int | None = 600_000_000) -> pd.DataFrame:
     rows = []
     for name in datasets:
-        edges = graph_edges(spark, name).localCheckpoint(eager=True)
-        raw = single_group(edges).localCheckpoint(eager=True)
+        raw = single_group(graph_edges(spark, name)).localCheckpoint(
+            eager=True)
         for k in ks:
             sizes = set()
             row = {"dataset": name, "k": k}

@@ -24,8 +24,8 @@ def run_table4(spark: SparkSession, *, k: int = 5,
                op_budget: int | None = 4_000_000_000) -> pd.DataFrame:
     rows = []
     for name in (datasets or SMALL):
-        edges = graph_edges(spark, name).localCheckpoint(eager=True)
-        raw = single_group(edges).localCheckpoint(eager=True)
+        raw = single_group(graph_edges(spark, name)).localCheckpoint(
+            eager=True)
         no2 = run_cover(raw, "tdb++", k, allow_two_cycles=False,
                         op_budget=op_budget)
         with2 = run_cover(raw, "tdb++", k, allow_two_cycles=True,

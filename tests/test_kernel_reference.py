@@ -6,11 +6,16 @@ workspace arrays and masks, before they moved onto Python lists; the
 DARC-DV entries were added when DARC-DV moved onto the split graph, and
 the TDB++ and ``feasible``/``feasible_short`` op counts were re-recorded
 when the BFS filter became bidirectional and started running in front of
-the feasibility sweep (every cover, verdict and witness stayed). Any
-change to a DFS/BFS visiting order, the block certificates or the op
-accounting shows up here as a different cover, witness, verdict, op
-count or DARC state size. Regenerate it only for a change that means to
-move them::
+the feasibility sweep. The four verifier op counts (``feasible``,
+``feasible_short``, ``minimal``, ``minimal_bur``) were re-recorded when
+both checks moved onto ``CSRGraph.intra_scc_graph``: the sweep no longer
+runs a Tarjan pass over G - C first, so it visits (and spends ops on)
+non-cover vertices that pass dropped unsearched, and minimality searches
+only intra-SCC edges. Every cover, verdict, witness and redundant list
+stayed each time. Any change to a DFS/BFS visiting order, the block
+certificates or the op accounting shows up here as a different cover,
+witness, verdict, op count or DARC state size. Regenerate it only for a
+change that means to move them::
 
     PYTHONPATH=src:. python3 tests/test_kernel_reference.py
 """

@@ -8,8 +8,7 @@ import pandas as pd
 import pytest
 
 from repro.core.verify import check_feasible
-from repro.dist.kernels import (ALGORITHMS, intra_scc_graph, run_algorithm,
-                                solve_component)
+from repro.dist.kernels import ALGORITHMS, run_algorithm, solve_component
 from repro.graph.csr import CSRGraph
 from repro.graph.tarjan import tarjan_scc
 from repro.graphgen.models import powerlaw_digraph, uniform_digraph
@@ -105,9 +104,10 @@ def test_restriction_only_for_tdb_family():
 def test_intra_scc_graph_drops_edges_between_sccs():
     edges = [(0, 1), (1, 2), (2, 0), (2, 50), (50, 51), (51, 50)]
     g = CSRGraph.from_edges(np.array(edges))
-    r = intra_scc_graph(g)
+    r = g.intra_scc_graph
     assert labelled_edges(r) == {(0, 1), (1, 2), (2, 0), (50, 51), (51, 50)}
-    assert intra_scc_graph(r) is r
+    assert r.intra_scc_graph is r
+    assert g.intra_scc_graph is r  # built once
 
 
 def labelled_edges(g: CSRGraph) -> set[tuple[int, int]]:
@@ -156,7 +156,7 @@ def test_kernel_unchanged_by_sound_reductions(seed, allow2):
             stats = rows[rows.vertex.isna()].iloc[0]
             out[algo] = (set(rows.vertex.dropna().astype(int)),
                          int(stats.ops))
-        return labelled_edges(intra_scc_graph(h)), out
+        return labelled_edges(h.intra_scc_graph), out
 
     want = kernel(g)
     assert want[0] and len(want[0]) < g.m

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.top_down import top_down
 from repro.core.verify import check_feasible, check_minimal
-from repro.dist.kernels import ALGORITHMS, intra_scc_graph
+from repro.dist.kernels import ALGORITHMS
 from repro.dist.pipeline import (distributed_cover, prepare_graph,
                                  run_cover, single_group)
 from repro.dist.verify import cover_witnesses
@@ -32,7 +32,7 @@ def test_pipeline_matches_local_kernel_on_single_scc(spark):
     local kernel cover (same intra-SCC graph and order)."""
     pdf = uniform_digraph(14, 60, reciprocity=0.5, seed=4)
     res_d = distributed_cover(spark, edges_df(spark, pdf), 4, "tdb++")
-    g = intra_scc_graph(CSRGraph.from_edges(pdf))
+    g = CSRGraph.from_edges(pdf).intra_scc_graph
     res_l = top_down(g, 4, technique="tdb++")
     assert res_d.cover_set() == res_l.cover_set()
     assert res_d.ops == res_l.ops
@@ -204,7 +204,7 @@ def test_huge_ids_keep_their_labels(spark):
     pdf = pd.concat(parts, ignore_index=True)
     e = edges_df(spark, pdf)
     res = distributed_cover(spark, e, 5, "tdb++")
-    local = top_down(intra_scc_graph(CSRGraph.from_edges(pdf)), 5,
+    local = top_down(CSRGraph.from_edges(pdf).intra_scc_graph, 5,
                      technique="tdb++")
     assert res.cover_set() == local.cover_set()
     assert len(res.cover_set() & {big - 7, big - 6, big - 5}) == 1

@@ -3,18 +3,17 @@ import numpy as np
 import pytest
 
 from repro.graph.csr import CSRGraph
-from repro.graph.tarjan import nontrivial_scc_mask, tarjan_scc
+from repro.graph.tarjan import tarjan_scc
 from repro.graphgen.models import powerlaw_digraph, uniform_digraph
 
 
-def kosaraju(g: CSRGraph, mask=None):
+def kosaraju(g: CSRGraph):
     """Reference SCC: iterative Kosaraju. Returns partition of local ids."""
     n = g.n
-    active = mask if mask is not None else np.ones(n, dtype=bool)
     seen = np.zeros(n, dtype=bool)
     order = []
     for r in range(n):
-        if not active[r] or seen[r]:
+        if seen[r]:
             continue
         stack = [(r, 0)]
         seen[r] = True
@@ -24,7 +23,7 @@ def kosaraju(g: CSRGraph, mask=None):
             pushed = False
             while i < len(nbrs):
                 w = int(nbrs[i]); i += 1
-                if active[w] and not seen[w]:
+                if not seen[w]:
                     seen[w] = True
                     stack.append((v, i))
                     stack.append((w, 0))
@@ -45,7 +44,7 @@ def kosaraju(g: CSRGraph, mask=None):
         while stack:
             u = stack.pop()
             for w in rev[u]:
-                if active[w] and comp[w] == -1:
+                if comp[w] == -1:
                     comp[w] = c
                     stack.append(w)
         c += 1
@@ -85,28 +84,3 @@ def test_random_vs_kosaraju(seed, gen):
     if g.n == 0:
         return
     assert partition(tarjan_scc(g)) == partition(kosaraju(g))
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_masked_vs_kosaraju(seed):
-    g = CSRGraph.from_edges(uniform_digraph(15, 45, seed=seed))
-    if g.n == 0:
-        return
-    rng = np.random.default_rng(seed)
-    mask = rng.random(g.n) < 0.7
-    assert partition(tarjan_scc(g, mask)) == partition(kosaraju(g, mask))
-    assert (tarjan_scc(g, mask)[~mask] == -1).all()
-
-
-def test_nontrivial_mask_singletons_pruned():
-    # 0->1->2->0 cycle, 3 dangling, 4<->5 mutual pair
-    g = CSRGraph.from_edges(
-        np.array([[0, 1], [1, 2], [2, 0], [2, 3], [4, 5], [5, 4]]))
-    idx = {int(l): i for i, l in enumerate(g.vertex_ids)}
-    m_no2 = nontrivial_scc_mask(g, allow_two_cycles=False)
-    assert m_no2[idx[0]] and m_no2[idx[1]] and m_no2[idx[2]]
-    assert not m_no2[idx[3]]
-    assert not m_no2[idx[4]] and not m_no2[idx[5]]  # pure 2-cycle SCC
-    m_2 = nontrivial_scc_mask(g, allow_two_cycles=True)
-    assert m_2[idx[4]] and m_2[idx[5]]
-    assert not m_2[idx[3]]
